@@ -15,6 +15,7 @@
 #include "src/common/clock.h"
 #include "src/runtime/event.h"
 #include "src/runtime/scheduler.h"
+#include "src/runtime/timer_wheel.h"
 
 namespace demi {
 namespace {
@@ -168,6 +169,24 @@ void BM_TimerFire(benchmark::State& state) {
   sched.Poll();
 }
 BENCHMARK(BM_TimerFire);
+
+// Advance() with nothing due and one timer parked far out (a 10 s sleep files on L2, a
+// 30 min one on L3): each call scans every level's occupancy bitmap for the earliest pending
+// tick, which is the work a server poll pays on every jump of the wheel.
+void BM_WheelAdvanceFarTimer(benchmark::State& state) {
+  TimerWheel wheel;
+  const TimeNs far = state.range(0) * kSecond;
+  auto noop = [](void*, uint64_t) {};
+  wheel.Arm(far, noop, nullptr, 0);
+  TimeNs now = 0;
+  for (auto _ : state) {
+    now += 2 * kMicrosecond;
+    if (wheel.Advance(now) != 0) {
+      wheel.Arm(now + far, noop, nullptr, 0);  // keep one timer parked far out
+    }
+  }
+}
+BENCHMARK(BM_WheelAdvanceFarTimer)->Arg(10)->Arg(1800);
 
 }  // namespace
 }  // namespace demi

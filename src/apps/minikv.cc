@@ -106,6 +106,11 @@ namespace {
 // The in-memory store: values live in the DMA-capable heap so GET responses go out zero-copy
 // and SET overwrites are safe under UAF protection (no update in place — old values are freed,
 // and the heap defers recycling while a previous GET's push still references them).
+//
+// A reply only pins its value when it is pushed, and the server holds a pump's replies until
+// the pump's AOF appends are durable, so a value overwritten or deleted in the pump is retired
+// rather than freed: a GET reply of the same pump may still point at it. FreeRetired() runs
+// after the pump's replies are pushed.
 class KvHeapStore {
  public:
   explicit KvHeapStore(LibOS& os) : os_(os) {}
@@ -113,6 +118,7 @@ class KvHeapStore {
     for (auto& [k, v] : map_) {
       os_.DmaFree(v.ptr);
     }
+    FreeRetired();
   }
 
   void Set(std::string_view key, std::string_view value) {
@@ -120,7 +126,7 @@ class KvHeapStore {
     std::memcpy(ptr, value.data(), value.size());
     auto [it, inserted] = map_.try_emplace(std::string(key));
     if (!inserted) {
-      os_.DmaFree(it->second.ptr);
+      retired_.push_back(it->second.ptr);
     }
     it->second = Value{ptr, static_cast<uint32_t>(value.size())};
   }
@@ -140,9 +146,16 @@ class KvHeapStore {
     if (it == map_.end()) {
       return false;
     }
-    os_.DmaFree(it->second.ptr);
+    retired_.push_back(it->second.ptr);
     map_.erase(it);
     return true;
+  }
+
+  void FreeRetired() {
+    for (void* ptr : retired_) {
+      os_.DmaFree(ptr);
+    }
+    retired_.clear();
   }
 
  private:
@@ -152,6 +165,7 @@ class KvHeapStore {
   };
   LibOS& os_;
   std::unordered_map<std::string, Value> map_;
+  std::vector<void*> retired_;
 };
 
 // Extracts complete length-prefixed frames from an accumulation buffer.
@@ -182,6 +196,15 @@ struct MiniKvServerApp::Impl {
   };
   std::unordered_map<QueueDesc, ConnState> conns;
   std::vector<QToken> tokens;
+  // The pump's replies in request order, held until its AOF appends are durable.
+  struct Reply {
+    QueueDesc qd = kInvalidQd;
+    KvStatus status = KvStatus::kOk;
+    void* value = nullptr;  // GET hit: the stored value, sent zero-copy
+    uint32_t vlen = 0;
+    QToken aof = kInvalidQToken;  // SET: its AOF append
+  };
+  std::vector<Reply> replies;
 };
 
 MiniKvServerApp::MiniKvServerApp(LibOS& os, const MiniKvOptions& options)
@@ -251,95 +274,45 @@ size_t MiniKvServerApp::Pump() {
 
       DrainFrames(cs.acc, [&](std::span<const uint8_t> frame) {
         served++;
+        Impl::Reply& reply = im.replies.emplace_back();
+        reply.qd = qd;
         KvRequestView req;
-        uint8_t hdr[4 + kRespHeader];
         if (!KvParseRequest(frame, &req)) {
-          const size_t n = KvEncodeResponse(KvStatus::kError, "", hdr, sizeof(hdr));
-          void* out = os_.DmaMalloc(n);
-          std::memcpy(out, hdr, n);
-          auto push = os_.Push(qd, Sgarray::Of(out, static_cast<uint32_t>(n)));
-          os_.DmaFree(out);
-          (void)push;
+          reply.status = KvStatus::kError;
           return;
         }
         switch (req.op) {
           case KvOp::kSet: {
             stats_.sets++;
             im.store.Set(req.key, req.value);
-            KvStatus set_status = KvStatus::kOk;
             if (im.aof_qd != kInvalidQd) {
               // Durable before acknowledged: append the raw request frame (fsync-equivalent).
-              // A terminal append failure (e.g. disk retry budget exhausted under injected
-              // faults) degrades to a kError reply — the value is live in memory but the client
-              // knows it isn't durable.
-              void* rec = os_.DmaMalloc(frame.size());
-              if (rec == nullptr) {
-                set_status = KvStatus::kError;
+              // The push copies the frame and queues it on the log; FlushReplies waits for
+              // the pump's appends, which the log group-commits in one device write.
+              auto aof_push =
+                  os_.Push(im.aof_qd, Sgarray::Of(const_cast<uint8_t*>(frame.data()),
+                                                  static_cast<uint32_t>(frame.size())));
+              if (aof_push.ok()) {
+                reply.aof = *aof_push;
               } else {
-                std::memcpy(rec, frame.data(), frame.size());
-                auto aof_push =
-                    os_.Push(im.aof_qd, Sgarray::Of(rec, static_cast<uint32_t>(frame.size())));
-                os_.DmaFree(rec);
-                if (!aof_push.ok()) {
-                  set_status = KvStatus::kError;
-                } else {
-                  auto aof_r = os_.Wait(*aof_push);
-                  if (!aof_r.ok() || aof_r->status != Status::kOk) {
-                    set_status = KvStatus::kError;
-                  }
-                }
-              }
-              if (set_status != KvStatus::kOk) {
+                reply.status = KvStatus::kError;
                 stats_.aof_failures++;
               }
             }
-            const size_t n = KvEncodeResponse(set_status, "", hdr, sizeof(hdr));
-            void* out = os_.DmaMalloc(n);
-            std::memcpy(out, hdr, n);
-            auto push = os_.Push(qd, Sgarray::Of(out, static_cast<uint32_t>(n)));
-            os_.DmaFree(out);
-            (void)push;
             break;
           }
           case KvOp::kGet: {
             stats_.gets++;
-            void* vptr = nullptr;
-            uint32_t vlen = 0;
-            if (im.store.Get(req.key, &vptr, &vlen)) {
+            if (im.store.Get(req.key, &reply.value, &reply.vlen)) {
               stats_.hits++;
-              // Zero-copy GET: header segment + the stored value straight from the heap.
-              const uint32_t frame_len = static_cast<uint32_t>(kRespHeader + vlen);
-              void* out = os_.DmaMalloc(4 + kRespHeader);
-              uint8_t* op = static_cast<uint8_t*>(out);
-              PutLe32(op, frame_len);
-              op[4] = static_cast<uint8_t>(KvStatus::kOk);
-              PutLe32(op + 5, vlen);
-              Sgarray sga;
-              sga.num_segs = 2;
-              sga.segs[0] = {out, 4 + kRespHeader};
-              sga.segs[1] = {vptr, vlen};
-              auto push = os_.Push(qd, sga);
-              os_.DmaFree(out);  // header freed; the stored value stays owned by the store
-              (void)push;
             } else {
-              const size_t n = KvEncodeResponse(KvStatus::kNotFound, "", hdr, sizeof(hdr));
-              void* out = os_.DmaMalloc(n);
-              std::memcpy(out, hdr, n);
-              auto push = os_.Push(qd, Sgarray::Of(out, static_cast<uint32_t>(n)));
-              os_.DmaFree(out);
-              (void)push;
+              reply.status = KvStatus::kNotFound;
             }
             break;
           }
           case KvOp::kDel: {
             stats_.dels++;
-            const KvStatus st = im.store.Del(req.key) ? KvStatus::kOk : KvStatus::kNotFound;
-            const size_t n = KvEncodeResponse(st, "", hdr, sizeof(hdr));
-            void* out = os_.DmaMalloc(n);
-            std::memcpy(out, hdr, n);
-            auto push = os_.Push(qd, Sgarray::Of(out, static_cast<uint32_t>(n)));
-            os_.DmaFree(out);
-            (void)push;
+            reply.status = im.store.Del(req.key) ? KvStatus::kOk : KvStatus::kNotFound;
             break;
           }
         }
@@ -355,7 +328,42 @@ size_t MiniKvServerApp::Pump() {
       break;
     }
   }
+  FlushReplies();
   return served;
+}
+
+void MiniKvServerApp::FlushReplies() {
+  Impl& im = *impl_;
+  // Redis `appendfsync always`: the pump's AOF records are durable before any of its replies
+  // goes out. A SET whose append failed terminally (e.g. the disk retry budget ran out under
+  // injected faults) answers kError — the value is live in memory but the client knows it
+  // isn't durable. A pump without SETs waits for nothing.
+  for (Impl::Reply& reply : im.replies) {
+    if (reply.aof == kInvalidQToken) {
+      continue;
+    }
+    auto appended = os_.Wait(reply.aof);
+    if (!appended.ok() || appended->status != Status::kOk) {
+      reply.status = KvStatus::kError;
+      stats_.aof_failures++;
+    }
+  }
+  for (const Impl::Reply& reply : im.replies) {
+    auto* hdr = static_cast<uint8_t*>(os_.DmaMalloc(4 + kRespHeader));
+    PutLe32(hdr, static_cast<uint32_t>(kRespHeader + reply.vlen));
+    hdr[4] = static_cast<uint8_t>(reply.status);
+    PutLe32(hdr + 5, reply.vlen);
+    Sgarray sga = Sgarray::Of(hdr, 4 + kRespHeader);
+    if (reply.value != nullptr) {
+      sga.num_segs = 2;
+      sga.segs[1] = {reply.value, reply.vlen};  // zero-copy GET: straight from the heap
+    }
+    auto push = os_.Push(reply.qd, sga);
+    os_.DmaFree(hdr);  // the push holds what it needs; the stored value stays the store's
+    (void)push;
+  }
+  im.replies.clear();
+  im.store.FreeRetired();  // every reply that pointed at a retired value is pushed (pinned)
 }
 
 void RunMiniKvServer(LibOS& os, const MiniKvOptions& options, std::atomic<bool>& stop,

@@ -3,8 +3,10 @@
 // Mirrors the structure of the paper's Redis port (§7.5): a single event loop over wait_any,
 // values stored in the DMA-capable heap and served zero-copy (Redis's keys/values are immutable
 // — no update in place — so UAF protection alone makes zero-copy GETs/SETs safe, §4.1), and an
-// optional append-only file: every SET is pushed to a storage queue and fsync'd before the
-// reply, the Figure 11 persistence configuration.
+// optional append-only file, the Figure 11 persistence configuration. As in Redis's
+// `appendfsync always`, every SET is pushed to a storage queue and each pump holds all of its
+// replies until the pump's appends are durable: no SET is acknowledged before its record is on
+// the device, and the log group-commits a pump's records in one device write.
 //
 // Wire protocol (length-framed so it runs over byte streams and message transports alike):
 //   request  := [u32 frame_len][u8 op][u16 klen][u32 vlen][key][value]
@@ -49,7 +51,7 @@ bool KvParseResponse(std::span<const uint8_t> frame, KvResponseView* out);
 
 struct MiniKvOptions {
   SocketAddress listen;
-  bool persist = false;          // append-only file, fsync per SET
+  bool persist = false;          // append-only file, durable before each SET is acknowledged
   std::string aof_path = "minikv.aof";
 };
 
@@ -68,10 +70,13 @@ class MiniKvServerApp {
   MiniKvServerApp(LibOS& os, const MiniKvOptions& options);
   ~MiniKvServerApp();
 
-  size_t Pump();  // non-blocking; returns requests served
+  size_t Pump();  // serves every completed request; returns requests served
   const MiniKvStats& stats() const { return stats_; }
 
  private:
+  // Waits for the pump's AOF appends, then pushes its replies in request order.
+  void FlushReplies();
+
   struct Impl;
   LibOS& os_;
   MiniKvOptions options_;

@@ -7,6 +7,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "src/common/logging.h"
@@ -157,6 +158,24 @@ RelayLoadResult RunRelayLoadGenerator(LibOS& os, const RelayLoadOptions& options
   void* pkt = os.DmaMalloc(options.packet_size);
   std::memset(pkt, 0x5C, options.packet_size);
   Clock& clock = os.clock();
+  // A pop whose wait timed out stays posted and will consume the next datagram. Carry it
+  // forward and re-wait it, or that datagram is swallowed by an abandoned token and the
+  // next measured pop waits out its whole timeout (RunEchoClient's carry_pop does the same).
+  QToken carry_pop = kInvalidQToken;
+  auto next_pop = [&]() -> Result<QToken> {
+    if (carry_pop == kInvalidQToken) {
+      return os.Pop(*rx);
+    }
+    return std::exchange(carry_pop, kInvalidQToken);
+  };
+  // Waits on `pop`; a timed-out pop is kept for the next call of next_pop().
+  auto wait_pop = [&](QToken pop, DurationNs timeout) {
+    auto r = os.Wait(pop, timeout);
+    if (!r.ok() && r.error() == Status::kTimedOut) {
+      carry_pop = pop;
+    }
+    return r;
+  };
   // Probe until the relay forwards (it may still be binding).
   bool ready = false;
   for (int probe = 0; probe < 200 && !ready; probe++) {
@@ -165,20 +184,21 @@ RelayLoadResult RunRelayLoadGenerator(LibOS& os, const RelayLoadOptions& options
     if (!push.ok()) {
       continue;
     }
-    auto pop = os.Pop(*rx);
+    auto pop = next_pop();
     if (!pop.ok()) {
       continue;
     }
-    auto r = os.Wait(*pop, 20 * kMillisecond);
+    auto r = wait_pop(*pop, 20 * kMillisecond);
     if (r.ok() && r->status == Status::kOk) {
       os.FreeSga(r->sga);
       ready = true;
+      // Drain duplicate forwards of the extra probes sent while the relay was binding.
       for (;;) {
-        auto extra = os.Pop(*rx);
+        auto extra = next_pop();
         if (!extra.ok()) {
           break;
         }
-        auto er = os.Wait(*extra, 2 * kMillisecond);
+        auto er = wait_pop(*extra, 2 * kMillisecond);
         if (!er.ok() || er->status != Status::kOk) {
           break;
         }
@@ -195,9 +215,9 @@ RelayLoadResult RunRelayLoadGenerator(LibOS& os, const RelayLoadOptions& options
       result.lost++;
       continue;
     }
-    auto pop = os.Pop(*rx);
+    auto pop = next_pop();
     DEMI_CHECK(pop.ok());
-    auto r = os.Wait(*pop, 200 * kMillisecond);
+    auto r = wait_pop(*pop, 200 * kMillisecond);
     if (!r.ok() || r->status != Status::kOk) {
       result.lost++;
       continue;

@@ -32,21 +32,18 @@ class StorageQueueEngine {
 
   // Spawnable op coroutines; the libOS owns qtoken allocation and queue bookkeeping.
 
-  // Appends the sga as one record; completes `qt` when durable. The application's buffers are
-  // pinned HERE, synchronously at push time — a coroutine body only runs at its first resume,
-  // by which point PDPIX allows the app to have freed the memory (UAF semantics).
+  // Appends the sga as one record; completes `qt` when durable. The record is flattened and
+  // queued on the log HERE, synchronously at push time: a coroutine body only runs at its
+  // first resume, by which point PDPIX allows the app to have freed the memory (UAF
+  // semantics), and the log group-commits whatever is queued when its leader runs.
   Task<void> PushOp(QToken qt, const Sgarray& sga) {
-    std::vector<Buffer> pinned;
-    pinned.reserve(sga.num_segs);
+    std::vector<uint8_t> record;
+    record.reserve(sga.TotalBytes());
     for (uint32_t i = 0; i < sga.num_segs; i++) {
-      Buffer buf = Buffer::TryFromApp(alloc_, sga.segs[i].buf, sga.segs[i].len);
-      if (!buf.valid()) {
-        return FailOp(qt, Status::kNoMemory);  // heap exhausted: ENOMEM via the qtoken
-      }
-      buf.NoteOwner(/*qd=*/-1, qt);  // DemiSan: the engine does not know the qd, the qt suffices
-      pinned.push_back(std::move(buf));
+      const auto* p = static_cast<const uint8_t*>(sga.segs[i].buf);
+      record.insert(record.end(), p, p + sga.segs[i].len);
     }
-    return PushOpPinned(qt, std::move(pinned));  // parameters move into the frame immediately
+    return CompleteAppend(qt, log_.Append(std::move(record)));
   }
 
   // Reads the record at *cursor; completes `qt` with an app-owned sga and advances the cursor.
@@ -84,22 +81,8 @@ class StorageQueueEngine {
   [[nodiscard]] Status Truncate(uint64_t offset) { return log_.Truncate(offset); }
 
  private:
-  // Completes `qt` with a failure status on the next scheduler round (ops are spawned, so the
-  // failure must still arrive asynchronously through the qtoken like any other completion).
-  Task<void> FailOp(QToken qt, Status status) {
-    QResult qr;
-    qr.status = status;
-    tokens_.Complete(qt, qr);
-    co_return;
-  }
-
-  Task<void> PushOpPinned(QToken qt, std::vector<Buffer> pinned) {
-    // Flatten into the record image (models the controller's DMA gather from the ring).
-    std::vector<uint8_t> record;
-    for (const Buffer& b : pinned) {
-      record.insert(record.end(), b.data(), b.data() + b.size());
-    }
-    auto result = co_await log_.Append(record);
+  Task<void> CompleteAppend(QToken qt, Task<Result<uint64_t>> append) {
+    auto result = co_await std::move(append);
     QResult qr;
     qr.status = result.error();
     tokens_.Complete(qt, qr);

@@ -775,14 +775,14 @@ void TcpConnection::OnSegment(const TcpHeader& hdr, std::span<const uint8_t> pay
   }
 
   if (hdr.flags.ack) {
-    ProcessAck(hdr, now);
+    ProcessAck(hdr, !payload.empty(), now);
   }
   if (!payload.empty() || hdr.flags.fin) {
     ProcessData(hdr, payload, now);
   }
 }
 
-void TcpConnection::ProcessAck(const TcpHeader& hdr, TimeNs now) {
+void TcpConnection::ProcessAck(const TcpHeader& hdr, bool carries_data, TimeNs now) {
   // demilint: fastpath
   const SeqNum ack{hdr.ack};
   const auto new_wnd = static_cast<uint32_t>(static_cast<size_t>(hdr.window) << hot_.snd_wscale);
@@ -854,7 +854,11 @@ void TcpConnection::ProcessAck(const TcpHeader& hdr, TimeNs now) {
     }
     ReschedRetx();
   } else if (ack == hot_.snd_una && cold_ != nullptr && !cold_->inflight.empty() &&
-             !hdr.flags.syn && !hdr.flags.fin) {
+             !carries_data && !hdr.flags.syn && !hdr.flags.fin) {
+    // A duplicate ack (RFC 5681 §2) carries no data: a peer that sends while our data is in
+    // flight repeats snd_una on every segment without having seen anything out of order.
+    // The window is deliberately not compared: this stack shrinks its advertised window
+    // while it holds out-of-order data, which is exactly when its dup acks matter.
     cold_->stats.dup_acks_seen++;
     if (++hot_.dup_acks == 3) {
       // Fast retransmit.

@@ -276,7 +276,8 @@ class TcpConnection {
 
   // --- Internals ---
   ColdState& EnsureCold();
-  void ProcessAck(const TcpHeader& hdr, TimeNs now);
+  // `carries_data`: the segment has payload, so an unchanged ack in it is not a duplicate ack.
+  void ProcessAck(const TcpHeader& hdr, bool carries_data, TimeNs now);
   void ProcessData(const TcpHeader& hdr, std::span<const uint8_t> payload, TimeNs now);
   void DrainReassembly();
   void HandleFinReached(TimeNs now);

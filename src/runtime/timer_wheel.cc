@@ -1,5 +1,7 @@
 #include "src/runtime/timer_wheel.h"
 
+#include <bit>
+
 #include "src/common/logging.h"
 
 namespace demi {
@@ -145,13 +147,26 @@ int TimerWheel::FirstOccupiedSlot(int level) const {
   // Circular scan in firing order. L0 starts at the cursor slot itself (due / sub-tick-future
   // entries live there); L1+ start one past the cursor and check the cursor slot last, because
   // an L1+ entry in the cursor slot always belongs to the *next* rotation of that level.
+  // One tzcnt per 64-slot word (the §5.4 Lemire idiom): the first word masked to the slots at
+  // or after `start`, then whole words, then the first word's slots before `start` — for L1+
+  // that wrapped remainder ends at the cursor slot.
+  constexpr uint32_t kWords = kSlotsPerLevel / 64;
   const auto cur_slot = static_cast<uint32_t>((cur_tick_ >> (kLevelBits * level)) & kSlotMask);
-  const uint32_t start = level == 0 ? cur_slot : cur_slot + 1;
-  for (uint32_t d = 0; d < kSlotsPerLevel; d++) {
-    const uint32_t slot = (start + d) & kSlotMask;
-    if ((occupancy_[level][slot >> 6] & (1ULL << (slot & 63))) != 0) {
-      return static_cast<int>(slot);
+  const uint32_t start = (level == 0 ? cur_slot : cur_slot + 1) & kSlotMask;
+  const uint64_t* occ = occupancy_[level];
+  const uint32_t first = start >> 6;
+  const uint64_t at_or_after = ~0ULL << (start & 63);
+  if (const uint64_t bits = occ[first] & at_or_after; bits != 0) {
+    return static_cast<int>(first * 64 + static_cast<uint32_t>(std::countr_zero(bits)));
+  }
+  for (uint32_t i = 1; i < kWords; i++) {
+    const uint32_t w = (first + i) % kWords;
+    if (occ[w] != 0) {
+      return static_cast<int>(w * 64 + static_cast<uint32_t>(std::countr_zero(occ[w])));
     }
+  }
+  if (const uint64_t bits = occ[first] & ~at_or_after; bits != 0) {
+    return static_cast<int>(first * 64 + static_cast<uint32_t>(std::countr_zero(bits)));
   }
   return -1;
 }

@@ -82,20 +82,18 @@ void LogDevice::ReleaseAppendLock() {
   append_lock_released_.Notify();
 }
 
-std::vector<uint8_t> LogDevice::MakeHeader(uint32_t payload_len, uint32_t payload_crc) {
+void LogDevice::WriteHeader(uint8_t* dst, uint32_t payload_len, uint32_t payload_crc) {
   // demilint: atomic(relaxed is sufficient: the single modification order of the shared
   // epoch makes every draw unique across shards, and one shard's draws are monotonic
   // because its own RMWs are ordered. The record carrying this epoch travels through the
   // shard's own partition, never through the counter — see docs/STORAGE.md audit)
   const uint64_t epoch = epoch_->fetch_add(1, std::memory_order_relaxed);
   stats_.last_epoch = epoch;
-  std::vector<uint8_t> hdr(kHeaderSize, 0);
-  PutU32(hdr.data(), kRecordMagic);
-  PutU32(hdr.data() + 4, payload_len);
-  PutU64(hdr.data() + 8, epoch);
-  PutU32(hdr.data() + 16, payload_crc);
-  PutU32(hdr.data() + 20, Crc32(hdr.data(), 20));
-  return hdr;
+  PutU32(dst, kRecordMagic);
+  PutU32(dst + 4, payload_len);
+  PutU64(dst + 8, epoch);
+  PutU32(dst + 16, payload_crc);
+  PutU32(dst + 20, Crc32(dst, 20));
 }
 
 Task<Status> LogDevice::SubmitOnceAndWait(bool is_read, uint64_t lba,
@@ -182,14 +180,53 @@ Task<Status> LogDevice::SubmitReadAndWait(uint64_t lba, std::span<uint8_t> out) 
 }
 
 Task<Result<uint64_t>> LogDevice::Append(std::span<const uint8_t> payload) {
-  co_await AcquireAppendLock();
-  // RAII is awkward across co_return paths here; release explicitly on every exit.
-  const uint64_t record_offset = tail_;
-  const uint64_t record_bytes = AlignUp(kHeaderSize + payload.size(), kAlign);
-  const uint64_t new_tail = tail_ + record_bytes;
-  if (new_tail > part_bytes_) {
-    ReleaseAppendLock();
-    co_return Status::kNoBufferSpace;
+  return Append(std::vector<uint8_t>(payload.begin(), payload.end()));
+}
+
+Task<Result<uint64_t>> LogDevice::Append(std::vector<uint8_t>&& payload) {
+  // Not a coroutine: the record joins the queue now, in call order, even though the returned
+  // task only runs when it is first resumed.
+  auto rec = std::make_shared<PendingAppend>();
+  rec->payload = std::move(payload);
+  append_queue_.push_back(rec);
+  return AwaitAppend(std::move(rec));
+}
+
+Task<Result<uint64_t>> LogDevice::AwaitAppend(std::shared_ptr<PendingAppend> rec) {
+  while (!rec->done) {
+    if (append_locked_) {
+      co_await append_lock_released_.Wait();
+      continue;
+    }
+    // The log is idle and `rec` is still queued: lead a group commit that carries it.
+    append_locked_ = true;
+    co_await CommitQueued();
+    ReleaseAppendLock();  // wakes the batch's appenders and hands the lock to the next leader
+  }
+  if (rec->status != Status::kOk) {
+    co_return rec->status;
+  }
+  co_return rec->offset;
+}
+
+Task<void> LogDevice::CommitQueued() {
+  std::vector<std::shared_ptr<PendingAppend>> batch;
+  batch.swap(append_queue_);
+  // Lay the records out back to back from the tail, in call order. One that does not fit
+  // fails alone; a later, smaller one may still fit behind it.
+  uint64_t new_tail = tail_;
+  for (const auto& rec : batch) {
+    const uint64_t record_bytes = AlignUp(kHeaderSize + rec->payload.size(), kAlign);
+    if (new_tail + record_bytes > part_bytes_) {
+      rec->status = Status::kNoBufferSpace;
+      rec->done = true;
+      continue;
+    }
+    rec->offset = new_tail;
+    new_tail += record_bytes;
+  }
+  if (new_tail == tail_) {
+    co_return;
   }
 
   // Compose the affected block range: the (possibly partial) tail block comes from the cache so
@@ -201,24 +238,29 @@ Task<Result<uint64_t>> LogDevice::Append(std::span<const uint8_t> payload) {
   const size_t nblocks = static_cast<size_t>(last_block - first_block + 1);
   std::vector<uint8_t> io(nblocks * block_size_, 0);
   std::memcpy(io.data(), tail_block_cache_.data(), block_size_);
-
-  const size_t in_block_off = static_cast<size_t>(tail_ - first_block * block_size_);
-  const std::vector<uint8_t> hdr =
-      MakeHeader(static_cast<uint32_t>(payload.size()), Crc32(payload.data(), payload.size()));
-  std::memcpy(io.data() + in_block_off, hdr.data(), kHeaderSize);
-  std::memcpy(io.data() + in_block_off + kHeaderSize, payload.data(), payload.size());
-
-  const Status s = co_await SubmitWriteAndWait(DeviceLba(tail_), io);
-  if (s != Status::kOk) {
-    ReleaseAppendLock();
-    co_return s;
+  for (const auto& rec : batch) {
+    if (rec->done) {
+      continue;
+    }
+    uint8_t* at = io.data() + (rec->offset - first_block * block_size_);
+    const std::vector<uint8_t>& payload = rec->payload;
+    WriteHeader(at, static_cast<uint32_t>(payload.size()),
+                Crc32(payload.data(), payload.size()));
+    std::memcpy(at + kHeaderSize, payload.data(), payload.size());
   }
 
-  // Acknowledged: commit the new partial last block to the cache and advance the tail.
-  std::memcpy(tail_block_cache_.data(), io.data() + (nblocks - 1) * block_size_, block_size_);
-  tail_ = new_tail;
-  ReleaseAppendLock();
-  co_return record_offset;
+  const Status s = co_await SubmitWriteAndWait(DeviceLba(tail_), io);
+  if (s == Status::kOk) {
+    // Acknowledged: commit the new partial last block to the cache and advance the tail.
+    std::memcpy(tail_block_cache_.data(), io.data() + (nblocks - 1) * block_size_, block_size_);
+    tail_ = new_tail;
+  }
+  for (const auto& rec : batch) {
+    if (!rec->done) {
+      rec->status = s;
+      rec->done = true;
+    }
+  }
 }
 
 Task<Result<uint64_t>> LogDevice::AppendSg(std::span<const std::span<const uint8_t>> slices) {
@@ -249,7 +291,8 @@ Task<Result<uint64_t>> LogDevice::AppendSg(std::span<const std::span<const uint8
     co_return Status::kNoBufferSpace;
   }
 
-  const std::vector<uint8_t> hdr = MakeHeader(payload_len, payload_crc);
+  uint8_t hdr[kHeaderSize];
+  WriteHeader(hdr, payload_len, payload_crc);
 
   std::vector<std::span<const uint8_t>> iov;
   iov.reserve(slices.size() + 3);
@@ -263,7 +306,7 @@ Task<Result<uint64_t>> LogDevice::AppendSg(std::span<const std::span<const uint8
     PutU32(lead.data() + in_off + 4, static_cast<uint32_t>(gap1));
     iov.emplace_back(lead.data(), lead.size());
   }
-  iov.emplace_back(hdr.data(), hdr.size());
+  iov.emplace_back(hdr, kHeaderSize);
 
   // Flatten only if the slice list exceeds the device SGL limit (counted: this is the one
   // bounce path, and splice batches are sized to never hit it).

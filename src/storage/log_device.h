@@ -13,6 +13,11 @@
 // strictly greater than the previous record's — a torn write (prefix on media, error returned)
 // can forge magic+length but not the payload CRC, so recovery stops at the last durable record.
 //
+// Group commit: Append queues its record when it is called. Whichever appender finds the log
+// idle becomes the leader and writes every queued record in one device write — each record
+// with its own header, CRC and epoch, in call order, so the format above is unchanged — then
+// completes them all with that write's outcome (docs/STORAGE.md §3).
+//
 // Partitioning: a LogDevice may own a contiguous block range of a shared device (LogPartition)
 // with an allocation epoch shared across all partitions; see PartitionedLog for the coordinator
 // that carves the ranges and stitches recovery back together in epoch order.
@@ -22,6 +27,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -66,8 +72,13 @@ class LogDevice {
   };
 
   // Appends one record; resumes when the write is durable on the device. Returns the record's
-  // byte offset. Appends from multiple coroutines are serialized internally.
+  // byte offset. The payload is copied into the append queue by this call, before the task
+  // first runs, so the caller's bytes need not outlive it; records reach the device in call
+  // order. A record that does not fit fails alone with kNoBufferSpace; a failed device write
+  // fails every record it carried and leaves the tail where it was.
   Task<Result<uint64_t>> Append(std::span<const uint8_t> payload);
+  // As above, taking the payload over without a copy.
+  Task<Result<uint64_t>> Append(std::vector<uint8_t>&& payload);
 
   // Scatter-gather append: one record whose payload is the concatenation of `slices`, written
   // via the device's gather DMA — the payload bytes are never copied host-side. The record is
@@ -149,6 +160,15 @@ class LogDevice {
   static constexpr size_t kAlign = 8;
   static constexpr size_t kPadHeaderSize = 8;
 
+  // One queued Append. Shared between the append queue, the leader's batch and the awaiting
+  // appender, any of which may be gone first (a scheduler shutdown destroys frames).
+  struct PendingAppend {
+    std::vector<uint8_t> payload;
+    bool done = false;
+    Status status = Status::kOk;
+    uint64_t offset = 0;
+  };
+
   struct IoWait {
     bool done = false;
     Status status = Status::kOk;  // completion status from the device
@@ -167,9 +187,16 @@ class LogDevice {
   Task<Status> SubmitReadAndWait(uint64_t lba, std::span<uint8_t> out);
   Task<void> AcquireAppendLock();
   void ReleaseAppendLock();
-  // Composes the 24-byte record header for `payload_len` bytes with `crc`, stamping a fresh
-  // epoch. Must run under the append lock so per-partition epochs stay strictly increasing.
-  std::vector<uint8_t> MakeHeader(uint32_t payload_len, uint32_t payload_crc);
+  // Resumes when `rec` is durable or failed. Whenever the append lock is free and `rec` is
+  // still queued, this appender leads: it takes the lock and commits the whole queue.
+  Task<Result<uint64_t>> AwaitAppend(std::shared_ptr<PendingAppend> rec);
+  // The leader's work, under the append lock: lays every queued record out from the tail,
+  // writes them in one device write and completes them all with its outcome.
+  Task<void> CommitQueued();
+  // Writes the 24-byte record header for `payload_len` bytes with `crc` to `dst`, stamping a
+  // fresh epoch. Must run under the append lock so per-partition epochs stay strictly
+  // increasing.
+  void WriteHeader(uint8_t* dst, uint32_t payload_len, uint32_t payload_crc);
   uint64_t DeviceLba(uint64_t byte_offset) const {
     return part_.first_block + byte_offset / block_size_;
   }
@@ -189,8 +216,10 @@ class LogDevice {
   uint64_t tail_ = 0;  // next append offset (partition-relative)
   std::vector<uint8_t> tail_block_cache_;  // in-memory copy of the partial tail block
 
+  // Held by a group-commit leader or an AppendSg for the whole of its device write.
   bool append_locked_ = false;
   Event append_lock_released_;
+  std::vector<std::shared_ptr<PendingAppend>> append_queue_;  // in call order
 
   uint64_t next_cookie_ = 1;
   size_t outstanding_ = 0;

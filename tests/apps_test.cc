@@ -6,13 +6,19 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstring>
+#include <memory>
+#include <ostream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "src/apps/echo.h"
 #include "src/apps/minikv.h"
 #include "src/apps/minirpc.h"
 #include "src/apps/txnstore.h"
 #include "src/apps/udp_relay.h"
+#include "src/faults/fault_injector.h"
 #include "src/liboses/catmint.h"
 #include "src/liboses/catnap.h"
 #include "src/liboses/catnip.h"
@@ -253,6 +259,152 @@ TEST(MiniKvTest, PersistentSetsOverCatnipCattree) {
   server_thread.join();
   EXPECT_EQ(result.completed, 300u);
   EXPECT_EQ(kv_stats.sets, 300u);
+}
+
+// MiniKv over Catnip x Cattree on one thread: the client's waits pump the server libOS and
+// its app, so every request of one Exchange (one push, one segment) is served by one pump.
+class MiniKvPumpTest : public ::testing::Test {
+ protected:
+  MiniKvPumpTest()
+      : net_(LinkConfig{}, 12),
+        disk_(SimBlockDevice::Config{}, clock_),
+        server_(net_, Catnip::Config{kServerMac, kServerIp, TcpConfig{}, &disk_}, clock_),
+        client_(net_, Catnip::Config{kClientMac, kClientIp, TcpConfig{}, nullptr}, clock_) {
+    server_.ethernet().arp().Insert(kClientIp, kClientMac);
+    client_.ethernet().arp().Insert(kServerIp, kServerMac);
+    MiniKvOptions opts{{kServerIp, 9200}};
+    opts.persist = true;
+    opts.aof_path = "pump.aof";
+    app_ = std::make_unique<MiniKvServerApp>(server_, opts);
+    client_.SetExternalPump([this] {
+      server_.PollOnce();
+      app_->Pump();
+    });
+  }
+  ~MiniKvPumpTest() override { client_.SetExternalPump(nullptr); }
+
+  void SetUp() override {
+    auto sock = client_.Socket(SocketType::kStream);
+    ASSERT_TRUE(sock.ok());
+    auto qt = client_.Connect(*sock, {kServerIp, 9200});
+    ASSERT_TRUE(qt.ok());
+    auto r = client_.Wait(*qt, kSecond);
+    ASSERT_TRUE(r.ok() && r->status == Status::kOk);
+    qd_ = *sock;
+  }
+
+  struct Request {
+    KvOp op;
+    std::string key;
+    std::string value;
+  };
+  struct Response {
+    KvStatus status;
+    std::string value;
+    bool operator==(const Response& o) const { return status == o.status && value == o.value; }
+    friend std::ostream& operator<<(std::ostream& os, const Response& r) {
+      return os << "{status " << static_cast<int>(r.status) << ", \"" << r.value << "\"}";
+    }
+  };
+
+  // Sends the requests in one push (they must fit one segment) and returns the responses.
+  std::vector<Response> Exchange(const std::vector<Request>& requests) {
+    std::vector<uint8_t> wire;
+    for (const Request& req : requests) {
+      uint8_t frame[1024];
+      const size_t n = KvEncodeRequest(req.op, req.key, req.value, frame, sizeof(frame));
+      EXPECT_GT(n, 0u);
+      wire.insert(wire.end(), frame, frame + n);
+    }
+    void* buf = client_.DmaMalloc(wire.size());
+    std::memcpy(buf, wire.data(), wire.size());
+    auto push = client_.Push(qd_, Sgarray::Of(buf, static_cast<uint32_t>(wire.size())));
+    client_.DmaFree(buf);
+    EXPECT_TRUE(push.ok() && client_.Wait(*push, kSecond).ok());
+
+    std::vector<Response> responses;
+    std::vector<uint8_t> acc;
+    while (responses.size() < requests.size()) {
+      auto pop = client_.Pop(qd_);
+      auto r = pop.ok() ? client_.Wait(*pop, kSecond) : Result<QResult>(pop.error());
+      if (!r.ok() || r->status != Status::kOk) {
+        ADD_FAILURE() << "no reply";
+        break;
+      }
+      for (uint32_t i = 0; i < r->sga.num_segs; i++) {
+        const auto* p = static_cast<const uint8_t*>(r->sga.segs[i].buf);
+        acc.insert(acc.end(), p, p + r->sga.segs[i].len);
+      }
+      client_.FreeSga(r->sga);
+      size_t off = 0;
+      uint32_t len = 0;
+      while (acc.size() - off >= 4 &&
+             (std::memcpy(&len, acc.data() + off, 4), acc.size() - off - 4 >= len)) {
+        KvResponseView view;
+        EXPECT_TRUE(KvParseResponse({acc.data() + off + 4, len}, &view));
+        responses.push_back({view.status, std::string(view.value)});
+        off += 4 + len;
+      }
+      acc.erase(acc.begin(), acc.begin() + static_cast<long>(off));
+    }
+    return responses;
+  }
+
+  MonotonicClock clock_;
+  SimNetwork net_;
+  SimBlockDevice disk_;
+  Catnip server_;
+  Catnip client_;
+  std::unique_ptr<MiniKvServerApp> app_;
+  QueueDesc qd_ = kInvalidQd;
+};
+
+TEST_F(MiniKvPumpTest, PipelinedSetThenGetSeesTheNewValueAfterOneAofWrite) {
+  ASSERT_EQ(Exchange({{KvOp::kSet, "k", "old"}}), (std::vector<Response>{{KvStatus::kOk, ""}}));
+  const uint64_t writes = disk_.GetStats().writes;
+  EXPECT_EQ(Exchange({{KvOp::kSet, "k", "new"}, {KvOp::kGet, "k", ""}, {KvOp::kSet, "j", "v"}}),
+            (std::vector<Response>{{KvStatus::kOk, ""}, {KvStatus::kOk, "new"},
+                                   {KvStatus::kOk, ""}}));
+  EXPECT_EQ(disk_.GetStats().writes - writes, 1u) << "one pump's SETs share one AOF write";
+  EXPECT_EQ(app_->stats().aof_failures, 0u);
+}
+
+// A GET reply points at the stored value until it is pushed, which waits for the pump's AOF
+// write. A SET or DEL of the same key later in the pump must not free that value under it:
+// the following SET of another key would get the freed block and its bytes would go out.
+TEST_F(MiniKvPumpTest, OverwriteOrDeleteInTheSamePumpKeepsTheGetReplyIntact) {
+  const std::string old_value(200, 'o');
+  const std::string other(200, 'x');
+  for (const KvOp op : {KvOp::kSet, KvOp::kDel}) {
+    ASSERT_EQ(Exchange({{KvOp::kSet, "k", old_value}}),
+              (std::vector<Response>{{KvStatus::kOk, ""}}));
+    const std::vector<Response> responses =
+        Exchange({{KvOp::kGet, "k", ""},
+                  {op, "k", op == KvOp::kSet ? std::string(200, 'n') : ""},
+                  {KvOp::kSet, "other", other}});
+    ASSERT_EQ(responses.size(), 3u);
+    EXPECT_EQ(responses[0], (Response{KvStatus::kOk, old_value}))
+        << (op == KvOp::kSet ? "SET" : "DEL") << " freed the value a GET reply pointed at";
+    EXPECT_EQ(responses[1].status, KvStatus::kOk);
+    EXPECT_EQ(responses[2].status, KvStatus::kOk);
+  }
+}
+
+TEST_F(MiniKvPumpTest, FailedAofWriteAnswersEverySetOfThePumpWithError) {
+  FaultPlan plan;
+  plan.seed = 3;
+  plan.disk_error = 1.0;
+  FaultInjector faults(plan);
+  disk_.SetFaultInjector(&faults);
+  LogDevice::RetryPolicy no_retries;
+  no_retries.max_retries = 0;
+  server_.storage()->log().set_retry_policy(no_retries);
+  EXPECT_EQ(Exchange({{KvOp::kSet, "a", "1"}, {KvOp::kGet, "a", ""}, {KvOp::kSet, "b", "2"}}),
+            (std::vector<Response>{{KvStatus::kError, ""}, {KvStatus::kOk, "1"},
+                                   {KvStatus::kError, ""}}));
+  EXPECT_EQ(app_->stats().aof_failures, 2u);
+  disk_.SetFaultInjector(nullptr);
+  EXPECT_EQ(Exchange({{KvOp::kSet, "a", "3"}}), (std::vector<Response>{{KvStatus::kOk, ""}}));
 }
 
 TEST(MiniKvTest, PosixServerAndClient) {

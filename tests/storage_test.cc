@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/common/clock.h"
+#include "src/faults/fault_injector.h"
 #include "src/runtime/scheduler.h"
 #include "src/storage/log_device.h"
 #include "src/storage/sim_block_device.h"
@@ -332,6 +335,247 @@ TEST_F(LogDeviceTest, FillsToCapacityThenRejects) {
   }
   EXPECT_EQ(st, Status::kNoBufferSpace);
   EXPECT_GT(appended, 0);
+}
+
+// --- Group commit ---
+
+// One LogDevice driven the way Cattree drives it, with appends queued from outside any fiber
+// so a test controls which records are queued together before the leader runs.
+class GroupCommitWorld {
+ public:
+  explicit GroupCommitWorld(SimBlockDevice::Config cfg = {})
+      : dev(cfg, clock), sched(clock), log(dev, sched) {}
+
+  // Queues one append per payload (in order) and returns its result slot, filled once done.
+  Result<uint64_t>* Queue(const std::string& payload) {
+    slots_.push_back(std::make_unique<Result<uint64_t>>(Status::kInternal));
+    Result<uint64_t>* slot = slots_.back().get();
+    pending_++;
+    sched.Spawn([](Task<Result<uint64_t>> append, Result<uint64_t>* out,
+                   size_t* pending) -> Task<void> {
+      *out = co_await std::move(append);
+      (*pending)--;
+    }(log.Append(Bytes(payload)), slot, &pending_));
+    return slot;
+  }
+
+  // Runs the scheduler and the device poller, stepping virtual time to the next device
+  // completion or retry-backoff timer, until every queued append has completed.
+  void Drain() {
+    for (int guard = 0; guard < 100000 && pending_ > 0; guard++) {
+      log.PollDevice();
+      sched.Poll();
+      TimeNs next = log.HasPendingIo() ? dev.NextCompletionTime() : 0;
+      const TimeNs timer = sched.NextTimerDeadline();
+      if (timer != 0 && (next == 0 || timer < next)) {
+        next = timer;
+      }
+      if (next > clock.Now()) {
+        clock.SetTime(next);
+      }
+    }
+    ASSERT_EQ(pending_, 0u) << "appends did not complete";
+  }
+
+  std::vector<Result<uint64_t>> AppendAll(const std::vector<std::string>& payloads) {
+    std::vector<Result<uint64_t>*> slots;
+    for (const std::string& p : payloads) {
+      slots.push_back(Queue(p));
+    }
+    Drain();
+    std::vector<Result<uint64_t>> out;
+    for (Result<uint64_t>* slot : slots) {
+      out.push_back(*slot);
+    }
+    return out;
+  }
+
+  // Reads every record from the head through the live log's read path.
+  std::vector<std::string> ReadAll() {
+    std::vector<std::string> out;
+    uint64_t cursor = log.head();
+    for (;;) {
+      bool done = false;
+      Result<LogDevice::ReadResult> r = Status::kInternal;
+      sched.Spawn([](LogDevice* l, uint64_t at, Result<LogDevice::ReadResult>* res,
+                     bool* d) -> Task<void> {
+        *res = co_await l->Read(at);
+        *d = true;
+      }(&log, cursor, &r, &done));
+      for (int guard = 0; guard < 100000 && !done; guard++) {
+        log.PollDevice();
+        sched.Poll();
+        const TimeNs next = dev.NextCompletionTime();
+        if (!done && next > clock.Now()) {
+          clock.SetTime(next);
+        }
+      }
+      EXPECT_TRUE(done);
+      if (!done || !r.ok()) {
+        EXPECT_EQ(r.error(), Status::kEndOfFile);
+        return out;
+      }
+      out.emplace_back(r->payload.begin(), r->payload.end());
+      cursor = r->next_cursor;
+    }
+  }
+
+  // What a restart recovers: the payloads of every record a fresh scan of the media accepts.
+  std::vector<std::string> Recovered(std::vector<LogDevice::RecordInfo>* infos = nullptr) {
+    std::vector<LogDevice::RecordInfo> records;
+    LogDevice::ScanPartition(dev, LogPartition{}, &records);
+    std::vector<std::string> out;
+    for (const LogDevice::RecordInfo& rec : records) {
+      std::string payload(rec.len, '\0');
+      dev.RawRead(rec.offset + LogDevice::kHeaderSize,
+                  {reinterpret_cast<uint8_t*>(payload.data()), payload.size()});
+      out.push_back(std::move(payload));
+    }
+    if (infos != nullptr) {
+      *infos = records;
+    }
+    return out;
+  }
+
+  VirtualClock clock;
+  SimBlockDevice dev;
+  Scheduler sched;
+  LogDevice log;
+
+ private:
+  std::vector<std::unique_ptr<Result<uint64_t>>> slots_;
+  size_t pending_ = 0;
+};
+
+std::string Patterned(size_t len, char seed) {
+  std::string s(len, '\0');
+  for (size_t i = 0; i < len; i++) {
+    s[i] = static_cast<char>(seed + static_cast<char>(i % 23));
+  }
+  return s;
+}
+
+TEST(LogGroupCommitTest, QueuedAppendsShareOneDeviceWriteInCallOrder) {
+  GroupCommitWorld w;
+  const std::vector<std::string> payloads = {"first", Patterned(5000, 'a'), "third",
+                                             Patterned(64, 'k'), Patterned(4100, 'z')};
+  const std::vector<Result<uint64_t>> results = w.AppendAll(payloads);
+  EXPECT_EQ(w.dev.GetStats().writes, 1u) << "the queued records were not group-committed";
+
+  std::vector<LogDevice::RecordInfo> infos;
+  EXPECT_EQ(w.Recovered(&infos), payloads);
+  ASSERT_EQ(infos.size(), payloads.size());
+  for (size_t i = 0; i < payloads.size(); i++) {
+    ASSERT_TRUE(results[i].ok()) << "record " << i;
+    EXPECT_EQ(*results[i], infos[i].offset) << "record " << i;
+    if (i > 0) {
+      EXPECT_GT(infos[i].offset, infos[i - 1].offset);
+      EXPECT_GT(infos[i].epoch, infos[i - 1].epoch) << "epochs must follow call order";
+    }
+  }
+  EXPECT_EQ(w.ReadAll(), payloads);
+}
+
+TEST(LogGroupCommitTest, AppendsQueuedDuringAWriteFormTheNextBatch) {
+  GroupCommitWorld w;
+  Result<uint64_t>* a = w.Queue("batch-one-a");
+  Result<uint64_t>* b = w.Queue("batch-one-b");
+  w.sched.Poll();  // the leader takes both and submits one write
+  ASSERT_TRUE(w.log.HasPendingIo());
+  w.Queue("batch-two-a");
+  w.Queue("batch-two-b");
+  w.Queue("batch-two-c");
+  w.Drain();
+  EXPECT_EQ(w.dev.GetStats().writes, 2u);
+  EXPECT_TRUE(a->ok() && b->ok());
+  EXPECT_EQ(w.ReadAll(), (std::vector<std::string>{"batch-one-a", "batch-one-b", "batch-two-a",
+                                                   "batch-two-b", "batch-two-c"}));
+}
+
+TEST(LogGroupCommitTest, RecordThatDoesNotFitFailsAlone) {
+  SimBlockDevice::Config cfg;
+  cfg.num_blocks = 2;  // 8 KB log
+  GroupCommitWorld w(cfg);
+  const std::string too_big = Patterned(9000, 'b');
+  const std::vector<Result<uint64_t>> results =
+      w.AppendAll({"fits-before", too_big, "fits-after"});
+  ASSERT_TRUE(results[0].ok());
+  EXPECT_EQ(results[1].error(), Status::kNoBufferSpace);
+  ASSERT_TRUE(results[2].ok());
+  EXPECT_GT(*results[2], *results[0]);
+  EXPECT_EQ(w.dev.GetStats().writes, 1u);
+  EXPECT_EQ(w.ReadAll(), (std::vector<std::string>{"fits-before", "fits-after"}));
+}
+
+TEST(LogGroupCommitTest, FailedBatchFailsEveryRecordAndLeavesTailAndCache) {
+  GroupCommitWorld w;
+  ASSERT_TRUE(w.AppendAll({"durable-before"})[0].ok());
+  const uint64_t tail = w.log.tail();
+
+  // Every attempt tears: a prefix of the batch lands on the media, the write reports an error.
+  FaultPlan plan;
+  plan.seed = 11;
+  plan.disk_torn = 1.0;
+  FaultInjector faults(plan);
+  w.dev.SetFaultInjector(&faults);
+  LogDevice::RetryPolicy retries;
+  retries.max_retries = 2;
+  retries.initial_backoff = kMicrosecond;
+  w.log.set_retry_policy(retries);
+  const std::vector<Result<uint64_t>> failed =
+      w.AppendAll({Patterned(3000, 'x'), "lost-b", Patterned(2000, 'y')});
+  for (const Result<uint64_t>& r : failed) {
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(r.error(), failed[0].error()) << "every record shares the batch's outcome";
+  }
+  EXPECT_EQ(w.log.stats().io_terminal_errors, 1u) << "one batch, one terminal error";
+  EXPECT_EQ(w.log.tail(), tail) << "a failed batch must not advance the tail";
+  w.dev.SetFaultInjector(nullptr);
+
+  // The next append rebuilds the shared tail block from the cache, not from the torn media.
+  const std::vector<Result<uint64_t>> after = w.AppendAll({"durable-after"});
+  ASSERT_TRUE(after[0].ok());
+  EXPECT_EQ(*after[0], tail);
+  EXPECT_EQ(w.ReadAll(), (std::vector<std::string>{"durable-before", "durable-after"}));
+  EXPECT_EQ(w.Recovered(), (std::vector<std::string>{"durable-before", "durable-after"}));
+}
+
+// A crash in the middle of a batch write: the restart recovers every acknowledged record and
+// then at most whole records of the failed batch, in order — never a partial one. Each seed
+// tears the 3-record write at a different byte.
+TEST(LogGroupCommitTest, TornBatchRecoversNoPartialRecordAfterRestart) {
+  const std::vector<std::string> batch = {Patterned(3000, 'p'), Patterned(700, 'q'),
+                                          Patterned(5000, 'r')};
+  for (uint64_t seed = 1; seed <= 12; seed++) {
+    GroupCommitWorld w;
+    const std::vector<std::string> acked = {"acked-1", Patterned(1500, 'm')};
+    for (const Result<uint64_t>& r : w.AppendAll(acked)) {
+      ASSERT_TRUE(r.ok());
+    }
+    FaultPlan plan;
+    plan.seed = seed;
+    plan.disk_torn = 1.0;
+    FaultInjector faults(plan);
+    w.dev.SetFaultInjector(&faults);
+    LogDevice::RetryPolicy no_retries;
+    no_retries.max_retries = 0;
+    w.log.set_retry_policy(no_retries);
+    for (const Result<uint64_t>& r : w.AppendAll(batch)) {
+      EXPECT_FALSE(r.ok()) << "seed " << seed;
+    }
+    w.dev.SetFaultInjector(nullptr);
+
+    LogDevice restarted(w.dev, w.sched);
+    ASSERT_EQ(restarted.Recover(), Status::kOk);
+    const std::vector<std::string> recovered = w.Recovered();
+    ASSERT_GE(recovered.size(), acked.size()) << "seed " << seed;
+    ASSERT_LE(recovered.size(), acked.size() + batch.size()) << "seed " << seed;
+    std::vector<std::string> expected = acked;
+    expected.insert(expected.end(), batch.begin(), batch.end());
+    expected.resize(recovered.size());
+    EXPECT_EQ(recovered, expected) << "seed " << seed;
+    EXPECT_GE(restarted.tail(), w.log.tail()) << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -290,6 +290,37 @@ TEST_F(TcpBatchingTest, OutOfOrderSegmentAcksImmediately) {
   EXPECT_EQ(DrainString(server, 36), "lost-segment-one" "arrives-out-of-order");
 }
 
+// RFC 5681 §2: a segment that carries data is not a duplicate ack. A server that answers
+// several pipelined requests while the client's next request is still on the wire sends
+// replies whose ack is the client's snd_una; counting them as dup acks fires a spurious fast
+// retransmit of the request.
+TEST_F(TcpBatchingTest, DataSegmentsWithStaleAckAreNotDuplicateAcks) {
+  auto [client, server] = EstablishPair();
+  PushString(a_, client, "warm");
+  EXPECT_EQ(DrainString(server, 4), "warm");
+  PushString(b_, server, "warm");
+  EXPECT_EQ(DrainString(client, 4), "warm");
+  ASSERT_TRUE(RunUntil([&] { return client->BytesInFlight() == 0; }));
+  ASSERT_TRUE(RunUntil([&] { return server->BytesInFlight() == 0; }));
+  const uint64_t dup_acks_before = client->conn_stats().dup_acks_seen;
+  const uint64_t fast_retx_before = client->conn_stats().fast_retransmits;
+
+  // Both sides transmit at the same instant, so every reply leaves the server before the
+  // request arrives and acks only what the client had sent before it.
+  PushString(a_, client, "request");
+  std::string replies;
+  for (int i = 0; i < 4; i++) {
+    const std::string reply = "reply-" + std::to_string(i);
+    PushString(b_, server, reply);
+    replies += reply;
+  }
+  EXPECT_EQ(DrainString(client, replies.size()), replies);
+  EXPECT_EQ(DrainString(server, 7), "request");
+  ASSERT_TRUE(RunUntil([&] { return client->BytesInFlight() == 0; }));
+  EXPECT_EQ(client->conn_stats().dup_acks_seen, dup_acks_before);
+  EXPECT_EQ(client->conn_stats().fast_retransmits, fast_retx_before);
+}
+
 // --- Karn's algorithm (RFC 6298 §3) ---
 
 // A cumulative ack that covers a retransmitted segment plus a later clean segment must take NO

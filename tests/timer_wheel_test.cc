@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/clock.h"
@@ -95,6 +97,70 @@ TEST(TimerWheel, CascadeBoundaries) {
       EXPECT_EQ(wheel.NextDeadline(), deadline);
       EXPECT_EQ(wheel.Advance(deadline), 1u) << "missed fire at boundary " << boundary_ticks;
       ASSERT_EQ(log.args.size(), 1u);
+    }
+  }
+}
+
+// The occupancy scan works a 64-slot word at a time, so its edge cases are word boundaries
+// relative to the cursor slot. Tick whose slot on `level` lies `rel` slots past the cursor
+// slot of `cur`; on L1+ rel 0 is the cursor slot itself, i.e. the level's next rotation.
+uint64_t TickAtRelativeSlot(uint64_t cur, int level, uint64_t rel) {
+  const int shift = 8 * level;
+  if (level == 0) {
+    return cur + rel;
+  }
+  const uint64_t below = cur & ((uint64_t{1} << shift) - 1);  // must be non-zero for rel 0
+  if (rel == 0) {
+    return ((cur >> shift) + 256) << shift;
+  }
+  return (((cur >> shift) + rel) << shift) + below;
+}
+
+TEST(TimerWheel, OccupancyScanWordBoundariesOnEveryLevel) {
+  const uint64_t kRelSlots[] = {0, 1, 63, 64, 127, 128, 255};
+  for (int level = 0; level < 4; level++) {
+    for (const uint64_t cursor_slot : {0, 1, 62, 63, 64, 127, 128, 200, 255}) {
+      const int shift = 8 * level;
+      const uint64_t cur = (cursor_slot << shift) + (level > 0 ? 0x37 : 0) +
+                           (uint64_t{0x5A} << (shift + 8));
+      // One timer at each boundary: exact NextDeadline, never early, never late.
+      for (const uint64_t rel : kRelSlots) {
+        TimerWheel wheel;
+        FireLog log;
+        wheel.Advance(static_cast<TimeNs>(cur) * kTick);  // empty wheel: cursor teleports
+        const TimeNs deadline =
+            static_cast<TimeNs>(TickAtRelativeSlot(cur, level, rel)) * kTick + 13;
+        wheel.Arm(deadline, &FireLog::Record, &log, rel);
+        SCOPED_TRACE("level " + std::to_string(level) + " cursor slot " +
+                     std::to_string(cursor_slot) + " rel " + std::to_string(rel));
+        EXPECT_EQ(wheel.NextDeadline(), deadline);
+        EXPECT_EQ(wheel.Advance(deadline - 1), 0u);
+        EXPECT_EQ(wheel.Advance(deadline), 1u);
+      }
+      // All boundaries at once: they fire in deadline order, which on L1+ puts the cursor
+      // slot (the next rotation) last.
+      TimerWheel wheel;
+      FireLog log;
+      wheel.Advance(static_cast<TimeNs>(cur) * kTick);
+      std::vector<std::pair<TimeNs, uint64_t>> expected;
+      for (const uint64_t rel : kRelSlots) {
+        const TimeNs deadline =
+            static_cast<TimeNs>(TickAtRelativeSlot(cur, level, rel)) * kTick + 13;
+        wheel.Arm(deadline, &FireLog::Record, &log, rel);
+        expected.emplace_back(deadline, rel);
+      }
+      std::sort(expected.begin(), expected.end());
+      if (level > 0) {
+        ASSERT_EQ(expected.back().second, 0u);
+      }
+      for (const auto& [deadline, rel] : expected) {
+        SCOPED_TRACE("all at level " + std::to_string(level) + " cursor slot " +
+                     std::to_string(cursor_slot) + " rel " + std::to_string(rel));
+        ASSERT_EQ(wheel.NextDeadline(), deadline);
+        ASSERT_EQ(wheel.Advance(deadline - 1), 0u);
+        ASSERT_EQ(wheel.Advance(deadline), 1u);
+        EXPECT_EQ(log.args.back(), rel);
+      }
     }
   }
 }
