@@ -28,6 +28,7 @@
 #include "src/liboses/catnip.h"
 #include "src/net/headers.h"
 #include "src/netsim/sim_network.h"
+#include "tests/sim_world.h"
 
 namespace demi {
 namespace {
@@ -54,15 +55,20 @@ struct ScenarioResult {
   uint64_t flood_throttled = 0;
 };
 
-struct World {
+// The scenario's settle loop polls the hosts (see RunScenario), so the world only watches
+// their timers; its 1 µs idle tick also paces token-bucket refill granularity.
+struct World : SimWorld {
   World()
-      : net(Link(), /*seed=*/1),
+      : SimWorld(Link(), /*seed=*/1, /*max_steps=*/8'000'000),
         server(net, Cfg(MacAddr{0xA1}, Ipv4Addr::FromOctets(10, 5, 0, 1)), clock),
         victim_client(net, Cfg(MacAddr{0xB2}, Ipv4Addr::FromOctets(10, 5, 0, 2)), clock),
         flood_client(net, Cfg(MacAddr{0xB3}, Ipv4Addr::FromOctets(10, 5, 0, 3)), clock) {
     for (Catnip* c : {&victim_client, &flood_client}) {
       server.ethernet().arp().Insert(c->local_ip(), c->ethernet().local_mac());
       c->ethernet().arp().Insert(server.local_ip(), MacAddr{0xA1});
+    }
+    for (Catnip* c : {&server, &victim_client, &flood_client}) {
+      Watch(c->scheduler());
     }
   }
 
@@ -75,26 +81,6 @@ struct World {
     return Catnip::Config{mac, ip, TcpConfig{}, nullptr};
   }
 
-  void AdvanceClock() {
-    TimeNs next = 0;
-    const auto consider = [&next](TimeNs t) {
-      if (t != 0 && (next == 0 || t < next)) {
-        next = t;
-      }
-    };
-    consider(net.NextDeliveryTime());
-    consider(server.scheduler().NextTimerDeadline());
-    consider(victim_client.scheduler().NextTimerDeadline());
-    consider(flood_client.scheduler().NextTimerDeadline());
-    if (next > clock.Now()) {
-      clock.SetTime(next);
-    } else {
-      clock.Advance(kMicrosecond);  // idle tick; also paces token-bucket refill granularity
-    }
-  }
-
-  VirtualClock clock;
-  SimNetwork net;
   Catnip server;
   Catnip victim_client;
   Catnip flood_client;
@@ -207,15 +193,12 @@ ScenarioResult RunScenario(FloodMode mode) {
       pump_flooder(flood_cqd);
     }
   };
+  // The settle runs inside the predicate, so every round settles, checks, then advances.
   const auto run_until = [&](auto&& pred) {
-    for (int i = 0; i < 8'000'000; i++) {
+    return w.RunUntil([&] {
       settle();
-      if (pred()) {
-        return true;
-      }
-      w.AdvanceClock();
-    }
-    return pred();
+      return pred();
+    });
   };
 
   // Establish the victim connection (and the flooder's, when flooding).

@@ -20,6 +20,7 @@
 #include "src/liboses/catnip.h"
 #include "src/netsim/sim_network.h"
 #include "src/storage/sim_block_device.h"
+#include "tests/sim_world.h"
 
 namespace demi {
 namespace {
@@ -27,12 +28,15 @@ namespace {
 constexpr uint64_t kLinkBps = 10'000'000'000ULL;  // 10 Gbps, under the disk's 2 GB/s
 constexpr size_t kChunk = 64 * 1024;
 
-struct World {
+struct World : SimWorld {
   World()
-      : net(Link(), /*seed=*/21),
+      : SimWorld(Link(), /*seed=*/21, /*max_steps=*/8'000'000),
         disk(DiskConfig(), clock),
         server(net, ServerConfig(&disk), clock),
         client(net, ClientConfig(), clock) {
+    AddLibOS(server);
+    AddLibOS(client);
+    Watch(disk);
     server.ethernet().arp().Insert(client.local_ip(), MacAddr{0xC});
     client.ethernet().arp().Insert(server.local_ip(), MacAddr{0x5});
   }
@@ -55,37 +59,6 @@ struct World {
 
   static Catnip::Config ClientConfig() {
     return Catnip::Config{MacAddr{0xC}, Ipv4Addr::FromOctets(10, 9, 0, 2), TcpConfig{}, nullptr};
-  }
-
-  void Step() {
-    server.PollOnce();
-    client.PollOnce();
-    TimeNs next = 0;
-    const auto consider = [&next](TimeNs t) {
-      if (t != 0 && (next == 0 || t < next)) {
-        next = t;
-      }
-    };
-    consider(net.NextDeliveryTime());
-    consider(server.scheduler().NextTimerDeadline());
-    consider(client.scheduler().NextTimerDeadline());
-    consider(disk.NextCompletionTime());
-    if (next > clock.Now()) {
-      clock.SetTime(next);
-    } else {
-      clock.Advance(kMicrosecond);
-    }
-  }
-
-  template <typename Pred>
-  bool RunUntil(Pred&& pred, int max_steps = 8'000'000) {
-    for (int i = 0; i < max_steps; i++) {
-      if (pred()) {
-        return true;
-      }
-      Step();
-    }
-    return pred();
   }
 
   // Establishes a client→server connection; returns {client qd, server-side conn qd}.
@@ -111,8 +84,6 @@ struct World {
     return true;
   }
 
-  VirtualClock clock;
-  SimNetwork net;
   SimBlockDevice disk;
   Catnip server;
   Catnip client;

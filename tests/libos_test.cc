@@ -17,6 +17,7 @@
 #include "src/liboses/catnap.h"
 #include "src/liboses/catnip.h"
 #include "src/liboses/cattree.h"
+#include "tests/sim_world.h"
 
 namespace demi {
 namespace {
@@ -297,6 +298,84 @@ TEST_F(CatnipPairTest, DmaHeapMallocFree) {
   ASSERT_NE(p, nullptr);
   EXPECT_TRUE(server_.allocator().Owns(p));
   server_.DmaFree(p);
+}
+
+// --- Abandoned pops (one thread, virtual time) ---
+//
+// A posted pop takes the next datagram whether or not anyone still waits on its token, like a
+// posted RDMA receive. An app that stops waiting on a pop must keep the token and wait on it
+// again (docs/API.md, Wait); these tests pin today's behaviour.
+
+class AbandonedPopTest : public ::testing::Test {
+ protected:
+  AbandonedPopTest()
+      : server_(world_.net, Catnip::Config{MacAddr{1}, kServerIp, TcpConfig{}, nullptr},
+                world_.clock),
+        client_(world_.net,
+                Catnip::Config{MacAddr{2}, Ipv4Addr::FromOctets(10, 0, 0, 2), TcpConfig{},
+                               nullptr},
+                world_.clock) {
+    world_.AddLibOS(server_);
+    world_.AddLibOS(client_);
+    server_.ethernet().arp().Insert(client_.local_ip(), MacAddr{2});
+    client_.ethernet().arp().Insert(kServerIp, MacAddr{1});
+    // A Wait on the server polls only its own scheduler; the pump moves the peer and time.
+    server_.SetExternalPump([this] {
+      client_.PollOnce();
+      world_.AdvanceClock();
+    });
+    auto sqd = server_.Socket(SocketType::kDatagram);
+    auto cqd = client_.Socket(SocketType::kDatagram);
+    EXPECT_TRUE(sqd.ok() && cqd.ok());
+    EXPECT_EQ(server_.Bind(*sqd, {kServerIp, kPort}), Status::kOk);
+    sqd_ = *sqd;
+    cqd_ = *cqd;
+  }
+
+  void SendDatagram(const std::string& data) {
+    auto push = client_.PushTo(cqd_, MakeSga(client_, data), {kServerIp, kPort});
+    ASSERT_TRUE(push.ok());
+    ASSERT_TRUE(world_.RunUntil([&] { return client_.IsDone(*push); }));
+    EXPECT_EQ(client_.TryTake(*push)->status, Status::kOk);
+  }
+
+  // The abandoned pop takes "first"; the pop posted after it stays pending until "second".
+  void ExpectAbandonedPopTakesTheNextDatagram(QToken abandoned) {
+    auto later = server_.Pop(sqd_);
+    ASSERT_TRUE(later.ok());
+    SendDatagram("first");
+    ASSERT_TRUE(world_.RunUntil([&] { return server_.IsDone(abandoned); }));
+    auto r = server_.TryTake(abandoned);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(SgaToString(server_, r->sga), "first");
+    EXPECT_FALSE(world_.RunUntil([&] { return server_.IsDone(*later); }, 10'000));
+    SendDatagram("second");
+    ASSERT_TRUE(world_.RunUntil([&] { return server_.IsDone(*later); }));
+    auto r2 = server_.TryTake(*later);
+    ASSERT_TRUE(r2.ok());
+    EXPECT_EQ(SgaToString(server_, r2->sga), "second");
+  }
+
+  static constexpr Ipv4Addr kServerIp = Ipv4Addr::FromOctets(10, 0, 0, 1);
+  static constexpr uint16_t kPort = 6200;
+  SimWorld world_;
+  Catnip server_;
+  Catnip client_;
+  QueueDesc sqd_ = kInvalidQd;
+  QueueDesc cqd_ = kInvalidQd;
+};
+
+TEST_F(AbandonedPopTest, UnwaitedPopCompletesWithTheNextDatagram) {
+  auto pop = server_.Pop(sqd_);
+  ASSERT_TRUE(pop.ok());
+  ExpectAbandonedPopTakesTheNextDatagram(*pop);
+}
+
+TEST_F(AbandonedPopTest, TimedOutPopCompletesWithTheNextDatagram) {
+  auto pop = server_.Pop(sqd_);
+  ASSERT_TRUE(pop.ok());
+  EXPECT_EQ(server_.Wait(*pop, kMillisecond).error(), Status::kTimedOut);
+  ExpectAbandonedPopTakesTheNextDatagram(*pop);
 }
 
 // --- Catnip×Cattree (integrated network + storage) ---

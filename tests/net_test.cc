@@ -19,6 +19,7 @@
 #include "src/net/tcp/tcp.h"
 #include "src/net/udp.h"
 #include "src/netsim/sim_network.h"
+#include "tests/stack_pair.h"
 
 namespace demi {
 namespace {
@@ -209,119 +210,24 @@ TEST(RttEstimatorTest, TracksSamplesAndBacksOff) {
 
 // --- Two-host harness ---
 
-struct Host {
-  Host(SimNetwork& net, VirtualClock& clock, MacAddr mac, Ipv4Addr ip, TcpConfig cfg = {})
-      : nic(net, mac, clock),
-        alloc(nic.registrar()),
-        sched(clock),
-        eth(nic, ip),
-        udp(eth, alloc),
-        tcp(eth, sched, alloc, clock, cfg) {}
-
-  SimNic nic;
-  PoolAllocator alloc;
-  Scheduler sched;
-  EthernetLayer eth;
-  UdpStack udp;
-  TcpStack tcp;
-};
-
-class NetPairTest : public ::testing::Test {
+class NetPairTest : public StackPairTest {
  protected:
-  static constexpr MacAddr kMacA{0xAA};
-  static constexpr MacAddr kMacB{0xBB};
-
   explicit NetPairTest(LinkConfig link = LinkConfig{}, uint64_t seed = 1,
                        TcpConfig tcp_cfg = TcpConfig{})
-      : net_(link, seed),
-        a_(net_, clock_, kMacA, Ipv4Addr::FromOctets(10, 0, 0, 1), tcp_cfg),
-        b_(net_, clock_, kMacB, Ipv4Addr::FromOctets(10, 0, 0, 2), tcp_cfg) {
-    // Warm ARP (paper's fast path assumes a warm cache); ARP-miss behaviour is tested
-    // explicitly elsewhere.
-    a_.eth.arp().Insert(b_.eth.local_ip(), kMacB);
-    b_.eth.arp().Insert(a_.eth.local_ip(), kMacA);
-  }
+      : StackPairTest(link, seed, /*max_steps=*/200'000,
+                      {MacAddr{0xAA}, Ipv4Addr::FromOctets(10, 0, 0, 1), tcp_cfg},
+                      {MacAddr{0xBB}, Ipv4Addr::FromOctets(10, 0, 0, 2), tcp_cfg}) {}
 
-  // One deterministic step: poll both hosts; if nothing was deliverable, jump the clock to the
-  // next event (packet delivery or timer).
-  void Step() {
-    size_t activity = 0;
-    activity += a_.eth.PollOnce();
-    activity += b_.eth.PollOnce();
-    activity += a_.sched.Poll();
-    activity += b_.sched.Poll();
-    if (activity > 0) {
-      return;
-    }
-    TimeNs next = 0;
-    auto consider = [&next](TimeNs t) {
-      if (t != 0 && (next == 0 || t < next)) {
-        next = t;
-      }
-    };
-    consider(net_.NextDeliveryTime());
-    consider(a_.sched.NextTimerDeadline());
-    consider(b_.sched.NextTimerDeadline());
-    if (next > clock_.Now()) {
-      clock_.SetTime(next);
-    } else {
-      clock_.Advance(1 * kMicrosecond);
-    }
-  }
-
-  template <typename Pred>
-  bool RunUntil(Pred&& pred, int max_steps = 200000) {
-    for (int i = 0; i < max_steps; i++) {
-      if (pred()) {
-        return true;
-      }
-      Step();
-    }
-    return pred();
-  }
-
-  // Establishes a connection pair (client on a_, server listener on b_) and returns both ends.
-  std::pair<std::shared_ptr<TcpConnection>, std::shared_ptr<TcpConnection>> EstablishPair(
-      uint16_t port = 7777) {
-    auto listener = b_.tcp.Listen(port, 16);
-    EXPECT_TRUE(listener.ok());
-    auto client = a_.tcp.Connect(SocketAddress{b_.eth.local_ip(), port});
-    EXPECT_TRUE(client.ok());
-    EXPECT_TRUE(RunUntil([&] {
-      return (*client)->state() == TcpState::kEstablished && (*listener)->HasPending();
-    }));
-    auto server = (*listener)->Accept();
-    EXPECT_NE(server, nullptr);
-    return {*client, server};
+  std::pair<std::shared_ptr<TcpConnection>, std::shared_ptr<TcpConnection>> EstablishPair() {
+    return StackPairTest::EstablishPair(7777);
   }
 
   // Pushes `data` on `from` and pops until `to` has received it all; returns the received bytes.
   std::string Transfer(const std::shared_ptr<TcpConnection>& from,
                        const std::shared_ptr<TcpConnection>& to, const std::string& data) {
-    void* mem = from == nullptr ? nullptr : nullptr;
-    (void)mem;
-    PoolAllocator& alloc = (from.get() != nullptr && from->local().ip == a_.eth.local_ip())
-                               ? a_.alloc
-                               : b_.alloc;
-    void* app = alloc.Alloc(data.size());
-    std::memcpy(app, data.data(), data.size());
-    Buffer buf = Buffer::FromApp(alloc, app, data.size());
-    EXPECT_EQ(from->Push(std::move(buf)), Status::kOk);
-    std::string received;
-    RunUntil([&] {
-      while (auto chunk = to->PopData()) {
-        received.append(reinterpret_cast<const char*>(chunk->data()), chunk->size());
-      }
-      return received.size() >= data.size();
-    });
-    alloc.Free(app);
-    return received;
+    PushString(from->local().ip == a_.eth.local_ip() ? a_ : b_, from, data);
+    return DrainString(to, data.size());
   }
-
-  VirtualClock clock_;
-  SimNetwork net_;
-  Host a_;
-  Host b_;
 };
 
 // --- Ethernet / ARP ---
@@ -330,7 +236,7 @@ class EthernetTest : public NetPairTest {};
 
 TEST_F(EthernetTest, ArpResolutionOnDemand) {
   // Fresh host with an empty cache.
-  Host c(net_, clock_, MacAddr{0xCC}, Ipv4Addr::FromOctets(10, 0, 0, 3));
+  Host c(world_, {MacAddr{0xCC}, Ipv4Addr::FromOctets(10, 0, 0, 3)});
   auto sock = c.udp.Bind(1000);
   ASSERT_TRUE(sock.ok());
   auto bsock = b_.udp.Bind(2000);
@@ -615,38 +521,16 @@ class TcpLossSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(TcpLossSweep, DataIntegrityUnderLoss) {
   const double loss = GetParam();
-  VirtualClock clock;
-  SimNetwork net(LinkConfig{.loss = loss}, /*seed=*/static_cast<uint64_t>(loss * 1000) + 3);
-  Host a(net, clock, MacAddr{0xA1}, Ipv4Addr::FromOctets(10, 1, 0, 1));
-  Host b(net, clock, MacAddr{0xB1}, Ipv4Addr::FromOctets(10, 1, 0, 2));
-  a.eth.arp().Insert(b.eth.local_ip(), MacAddr{0xB1});
-  b.eth.arp().Insert(a.eth.local_ip(), MacAddr{0xA1});
-
-  auto step = [&] {
-    size_t activity = a.eth.PollOnce() + b.eth.PollOnce() + a.sched.Poll() + b.sched.Poll();
-    if (activity == 0) {
-      TimeNs next = 0;
-      for (TimeNs t : {net.NextDeliveryTime(), a.sched.NextTimerDeadline(),
-                       b.sched.NextTimerDeadline()}) {
-        if (t != 0 && (next == 0 || t < next)) {
-          next = t;
-        }
-      }
-      if (next > clock.Now()) {
-        clock.SetTime(next);
-      } else {
-        clock.Advance(kMicrosecond);
-      }
-    }
-  };
+  SimWorld w(LinkConfig{.loss = loss}, /*seed=*/static_cast<uint64_t>(loss * 1000) + 3);
+  Host a(w, {MacAddr{0xA1}, Ipv4Addr::FromOctets(10, 1, 0, 1)});
+  Host b(w, {MacAddr{0xB1}, Ipv4Addr::FromOctets(10, 1, 0, 2)});
+  WarmArp(a, b);
 
   auto listener = b.tcp.Listen(99, 8);
   ASSERT_TRUE(listener.ok());
   auto client = a.tcp.Connect(SocketAddress{b.eth.local_ip(), 99});
   ASSERT_TRUE(client.ok());
-  for (int i = 0; i < 300000 && !(*listener)->HasPending(); i++) {
-    step();
-  }
+  w.RunUntil([&] { return (*listener)->HasPending(); }, 300000);
   ASSERT_TRUE((*listener)->HasPending()) << "handshake failed at loss=" << loss;
   auto server = (*listener)->Accept();
 
@@ -659,12 +543,12 @@ TEST_P(TcpLossSweep, DataIntegrityUnderLoss) {
   ASSERT_EQ((*client)->Push(Buffer::FromApp(a.alloc, app, data.size())), Status::kOk);
 
   std::string received;
-  for (int i = 0; i < 600000 && received.size() < data.size(); i++) {
-    step();
+  w.RunUntil([&] {
     while (auto chunk = server->PopData()) {
       received.append(reinterpret_cast<const char*>(chunk->data()), chunk->size());
     }
-  }
+    return received.size() >= data.size();
+  }, 600000);
   EXPECT_EQ(received, data) << "corruption or stall at loss=" << loss;
   a.alloc.Free(app);
 }
@@ -675,45 +559,25 @@ INSTANTIATE_TEST_SUITE_P(LossRates, TcpLossSweep, ::testing::Values(0.0, 0.01, 0
 
 TEST(TcpDeterminismTest, IdenticalRunsProduceIdenticalStats) {
   auto run = [](uint64_t seed) -> std::pair<uint64_t, uint64_t> {
-    VirtualClock clock;
-    SimNetwork net(LinkConfig{.loss = 0.08}, seed);
-    Host a(net, clock, MacAddr{0xA2}, Ipv4Addr::FromOctets(10, 2, 0, 1));
-    Host b(net, clock, MacAddr{0xB2}, Ipv4Addr::FromOctets(10, 2, 0, 2));
-    a.eth.arp().Insert(b.eth.local_ip(), MacAddr{0xB2});
-    b.eth.arp().Insert(a.eth.local_ip(), MacAddr{0xA2});
+    SimWorld w(LinkConfig{.loss = 0.08}, seed);
+    Host a(w, {MacAddr{0xA2}, Ipv4Addr::FromOctets(10, 2, 0, 1)});
+    Host b(w, {MacAddr{0xB2}, Ipv4Addr::FromOctets(10, 2, 0, 2)});
+    WarmArp(a, b);
     auto listener = b.tcp.Listen(5, 4);
     auto client = a.tcp.Connect(SocketAddress{b.eth.local_ip(), 5});
-    auto step = [&] {
-      if (a.eth.PollOnce() + b.eth.PollOnce() + a.sched.Poll() + b.sched.Poll() == 0) {
-        TimeNs next = 0;
-        for (TimeNs t : {net.NextDeliveryTime(), a.sched.NextTimerDeadline(),
-                         b.sched.NextTimerDeadline()}) {
-          if (t != 0 && (next == 0 || t < next)) {
-            next = t;
-          }
-        }
-        if (next > clock.Now()) {
-          clock.SetTime(next);
-        } else {
-          clock.Advance(kMicrosecond);
-        }
-      }
-    };
-    for (int i = 0; i < 200000 && !(*listener)->HasPending(); i++) {
-      step();
-    }
+    w.RunUntil([&] { return (*listener)->HasPending(); }, 200000);
     auto server = (*listener)->Accept();
     std::string data(120000, 'd');
     void* app = a.alloc.Alloc(data.size());
     std::memcpy(app, data.data(), data.size());
     EXPECT_EQ((*client)->Push(Buffer::FromApp(a.alloc, app, data.size())), Status::kOk);
     size_t got = 0;
-    for (int i = 0; i < 400000 && got < data.size(); i++) {
-      step();
+    w.RunUntil([&] {
       while (auto c = server->PopData()) {
         got += c->size();
       }
-    }
+      return got >= data.size();
+    }, 400000);
     a.alloc.Free(app);
     return {(*client)->conn_stats().segments_sent,
             (*client)->conn_stats().retransmits + (*client)->conn_stats().fast_retransmits};

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <thread>
@@ -13,6 +14,7 @@
 #include "src/netsim/rss.h"
 #include "src/netsim/sim_network.h"
 #include "src/netsim/sim_rdma.h"
+#include "tests/sim_world.h"
 
 namespace demi {
 namespace {
@@ -599,6 +601,91 @@ TEST(MultiQueueNicTest, PerQueueTxStatsAggregate) {
   EXPECT_EQ(nic.queue_stats(0).tx_frames, 1u);
   EXPECT_EQ(nic.queue_stats(1).tx_frames, 2u);
   EXPECT_EQ(nic.stats().tx_frames, 3u);
+}
+
+// --- SimWorld: the one virtual-time step rule (tests/sim_world.h) ---
+
+TEST(SimWorldTest, IdleRoundJumpsToEarliestNonzeroSource) {
+  SimWorld w;
+  SimNic a(w.net, MacAddr{1}, w.clock);
+  SimNic b(w.net, MacAddr{2}, w.clock);
+  Scheduler idle(w.clock);  // no timer armed: its 0 must not count as "earliest"
+  Scheduler timed(w.clock);
+  SimBlockDevice::Config disk_cfg;
+  disk_cfg.num_blocks = 16;
+  SimBlockDevice disk(disk_cfg, w.clock);
+  w.Watch(idle);
+  w.Watch(timed);
+  w.Watch(disk);
+
+  timed.ArmTimer(40 * kMicrosecond, [](void*, uint64_t) {}, nullptr, 0);
+  std::vector<uint8_t> block(disk.config().block_size, 0);
+  ASSERT_EQ(disk.SubmitWrite(0, block, /*cookie=*/1), Status::kOk);
+  WireFrame payload = MakeFrame("tick");
+  std::span<const uint8_t> seg = AsSpan(payload);
+  ASSERT_EQ(a.TxBurst(MacAddr{2}, {&seg, 1}), Status::kOk);
+  const TimeNs frame_at = w.net.NextDeliveryTime();
+  const TimeNs disk_at = disk.NextCompletionTime();
+  ASSERT_GT(frame_at, 0u);
+  ASSERT_LT(frame_at, disk_at);
+  ASSERT_LT(disk_at, 40 * kMicrosecond);
+
+  // Each idle round lands exactly on the earliest pending event; consuming it exposes the next.
+  w.Step();
+  EXPECT_EQ(w.clock.Now(), frame_at);
+  WireFrame rx[4];
+  ASSERT_EQ(b.RxBurst(rx), 1u);
+  w.Step();
+  EXPECT_EQ(w.clock.Now(), disk_at);
+  SimBlockDevice::Completion comps[4];
+  ASSERT_EQ(disk.PollCompletions(comps), 1u);
+  w.Step();
+  EXPECT_EQ(w.clock.Now(), 40 * kMicrosecond);
+}
+
+TEST(SimWorldTest, BusyRoundLeavesTheClockWhereItIs) {
+  SimWorld w;
+  Scheduler timed(w.clock);
+  w.Watch(timed);
+  timed.ArmTimer(40 * kMicrosecond, [](void*, uint64_t) {}, nullptr, 0);
+  bool busy = true;
+  w.AddHost([&] { return busy ? size_t{1} : size_t{0}; });
+  w.AddHost([] { return size_t{0}; });  // one idle host does not make the round idle
+
+  w.Step();
+  w.Step();
+  EXPECT_EQ(w.clock.Now(), 0u);
+  busy = false;
+  w.Step();
+  EXPECT_EQ(w.clock.Now(), 40 * kMicrosecond);
+}
+
+TEST(SimWorldTest, IdleRoundWithNothingPendingTicksOneMicrosecond) {
+  SimWorld w;
+  Scheduler idle(w.clock);
+  w.Watch(idle);
+  w.AddHost([] { return size_t{0}; });
+  w.Step();
+  EXPECT_EQ(w.clock.Now(), kMicrosecond);
+  w.Step();
+  EXPECT_EQ(w.clock.Now(), 2 * kMicrosecond);
+}
+
+TEST(SimWorldTest, ExpiredWallBudgetMakesRunUntilReturnFalse) {
+  SimWorld w(LinkConfig{}, /*seed=*/1, /*max_steps=*/1'000'000, std::chrono::milliseconds(1));
+  int steps = 0;
+  w.AddHost([&] {
+    steps++;
+    return size_t{0};
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  EXPECT_FALSE(w.RunUntil([] { return false; }));
+  EXPECT_EQ(steps, 0) << "the budget is checked before the first step";
+
+  // Without a budget the same predicate runs out of steps instead.
+  SimWorld unbounded(LinkConfig{}, /*seed=*/1, /*max_steps=*/100);
+  EXPECT_FALSE(unbounded.RunUntil([] { return false; }));
+  EXPECT_EQ(unbounded.clock.Now(), 100 * kMicrosecond);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "src/common/random.h"
 #include "src/netsim/pcap_writer.h"
 #include "src/storage/log_device.h"
+#include "tests/sim_world.h"
 
 #include <unistd.h>
 
@@ -54,10 +55,16 @@ TEST(HeapDeathTest, ForeignPointerFreeAborts) {
 // --- Log recovery under corruption ---
 
 TEST(LogRecoveryTest, TornWriteStopsRecoveryAtCorruption) {
-  VirtualClock clock;
-  SimBlockDevice dev(SimBlockDevice::Config{}, clock);
-  Scheduler sched(clock);
+  SimWorld w(LinkConfig{}, /*seed=*/1, /*max_steps=*/100'000);
+  SimBlockDevice dev(SimBlockDevice::Config{}, w.clock);
+  Scheduler sched(w.clock);
   LogDevice log(dev, sched);
+  w.AddHost([&] {
+    log.PollDevice();
+    return sched.Poll();
+  });
+  w.Watch(sched);
+  w.Watch(dev);
 
   auto append = [&](const std::string& payload) {
     bool done = false;
@@ -67,14 +74,7 @@ TEST(LogRecoveryTest, TornWriteStopsRecoveryAtCorruption) {
       EXPECT_TRUE(r.ok());
       *done_out = true;
     }(&log, payload, &done));
-    while (!done) {
-      log.PollDevice();
-      sched.Poll();
-      const TimeNs next = dev.NextCompletionTime();
-      if (!done && next > clock.Now()) {
-        clock.SetTime(next);
-      }
-    }
+    w.RunUntil([&] { return done; });
   };
   append("good-one");
   append("good-two");
@@ -89,7 +89,7 @@ TEST(LogRecoveryTest, TornWriteStopsRecoveryAtCorruption) {
   dev.RawRead(lba * dev.config().block_size, block);
   std::memset(block.data() + (tail_after_two % dev.config().block_size), 0xFF, 8);
   ASSERT_EQ(dev.SubmitWrite(lba, block, 999), Status::kOk);
-  clock.Advance(kSecond);
+  w.clock.Advance(kSecond);
   SimBlockDevice::Completion comps[4];
   dev.PollCompletions(comps);
 

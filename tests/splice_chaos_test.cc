@@ -24,27 +24,10 @@
 #include "src/liboses/catnip.h"
 #include "src/netsim/sim_network.h"
 #include "src/storage/sim_block_device.h"
+#include "tests/sim_world.h"
 
 namespace demi {
 namespace {
-
-std::vector<uint64_t> SeedList() {
-  if (const char* s = std::getenv("DEMI_FAULT_SEED")) {
-    return {std::strtoull(s, nullptr, 10)};
-  }
-  uint64_t count = 20;
-  if (const char* c = std::getenv("DEMI_CHAOS_SEEDS")) {
-    count = std::strtoull(c, nullptr, 10);
-    if (count == 0) {
-      count = 1;
-    }
-  }
-  std::vector<uint64_t> seeds;
-  for (uint64_t i = 1; i <= count; i++) {
-    seeds.push_back(i);
-  }
-  return seeds;
-}
 
 std::string ReplayHint(uint64_t seed) {
   return "seed " + std::to_string(seed) +
@@ -76,26 +59,17 @@ FaultPlan PlanForSeed(uint64_t seed) {
   return plan;
 }
 
-class Watchdog {
- public:
-  explicit Watchdog(int budget_seconds = 30)
-      : start_(std::chrono::steady_clock::now()), budget_seconds_(budget_seconds) {}
-  bool Expired() const {
-    return std::chrono::steady_clock::now() - start_ > std::chrono::seconds(budget_seconds_);
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-  int budget_seconds_;
-};
-
 // Deterministic two-host world on one VirtualClock, server with a log device attached.
-struct SpliceWorld {
+struct SpliceWorld : SimWorld {
   explicit SpliceWorld(const FaultPlan& plan)
-      : net(LinkConfig{}, /*seed=*/plan.seed + 0x51CE),
+      : SimWorld(LinkConfig{}, /*seed=*/plan.seed + 0x51CE, /*max_steps=*/4'000'000,
+                 /*wall_budget=*/std::chrono::seconds(30)),
         disk(DiskConfig(), clock),
         server(net, ServerConfig(&disk), clock),
         client(net, ClientConfig(), clock) {
+    AddLibOS(server);
+    AddLibOS(client);
+    Watch(disk);
     server.ethernet().arp().Insert(client.local_ip(), MacAddr{0xC});
     client.ethernet().arp().Insert(server.local_ip(), MacAddr{0x5});
     faults.SetTracer(&server.tracer());
@@ -122,42 +96,6 @@ struct SpliceWorld {
     return c;
   }
 
-  void Step() {
-    server.PollOnce();
-    client.PollOnce();
-    TimeNs next = 0;
-    const auto consider = [&next](TimeNs t) {
-      if (t != 0 && (next == 0 || t < next)) {
-        next = t;
-      }
-    };
-    consider(net.NextDeliveryTime());
-    consider(server.scheduler().NextTimerDeadline());
-    consider(client.scheduler().NextTimerDeadline());
-    consider(disk.NextCompletionTime());
-    if (next > clock.Now()) {
-      clock.SetTime(next);
-    } else {
-      clock.Advance(kMicrosecond);
-    }
-  }
-
-  template <typename Pred>
-  bool RunUntil(Pred&& pred, const Watchdog& dog, int max_steps = 4'000'000) {
-    for (int i = 0; i < max_steps; i++) {
-      if (pred()) {
-        return true;
-      }
-      if ((i & 1023) == 0 && dog.Expired()) {
-        return false;
-      }
-      Step();
-    }
-    return pred();
-  }
-
-  VirtualClock clock;
-  SimNetwork net;
   SimBlockDevice disk;
   FaultInjector faults;
   Catnip server;
@@ -168,7 +106,6 @@ struct SpliceWorld {
 void RunRelaySeed(uint64_t seed) {
   SCOPED_TRACE(ReplayHint(seed));
   SpliceWorld w(PlanForSeed(seed));
-  Watchdog dog;
 
   // Connection A: client → server, spliced into the log.
   auto listen_qd = w.server.Socket(SocketType::kStream);
@@ -182,7 +119,7 @@ void RunRelaySeed(uint64_t seed) {
   auto connect_a = w.client.Connect(*conn_a, {w.server.local_ip(), 7200});
   ASSERT_TRUE(connect_a.ok());
   ASSERT_TRUE(w.RunUntil(
-      [&] { return w.client.IsDone(*connect_a) && w.server.IsDone(*accept_a); }, dog))
+      [&] { return w.client.IsDone(*connect_a) && w.server.IsDone(*accept_a); }))
       << "connection A never established";
   ASSERT_EQ(w.client.TryTake(*connect_a)->status, Status::kOk);
   auto acc_a = w.server.TryTake(*accept_a);
@@ -208,13 +145,13 @@ void RunRelaySeed(uint64_t seed) {
     std::memcpy(buf, chunk.data(), len);
     auto push = w.client.Push(*conn_a, Sgarray::Of(buf, static_cast<uint32_t>(len)));
     ASSERT_TRUE(push.ok());
-    ASSERT_TRUE(w.RunUntil([&] { return w.client.IsDone(*push); }, dog));
+    ASSERT_TRUE(w.RunUntil([&] { return w.client.IsDone(*push); }));
     ASSERT_EQ(w.client.TryTake(*push)->status, Status::kOk);
     w.client.DmaFree(buf);
   }
   ASSERT_EQ(w.client.Close(*conn_a), Status::kOk);
 
-  ASSERT_TRUE(w.RunUntil([&] { return w.server.IsDone(*splice_in); }, dog))
+  ASSERT_TRUE(w.RunUntil([&] { return w.server.IsDone(*splice_in); }))
       << "inbound splice never completed";
   auto in_r = w.server.TryTake(*splice_in);
   ASSERT_EQ(in_r->status, Status::kOk) << "inbound splice failed";
@@ -228,7 +165,7 @@ void RunRelaySeed(uint64_t seed) {
   auto connect_b = w.client.Connect(*conn_b, {w.server.local_ip(), 7200});
   ASSERT_TRUE(connect_b.ok());
   ASSERT_TRUE(w.RunUntil(
-      [&] { return w.client.IsDone(*connect_b) && w.server.IsDone(*accept_b); }, dog))
+      [&] { return w.client.IsDone(*connect_b) && w.server.IsDone(*accept_b); }))
       << "connection B never established";
   ASSERT_EQ(w.client.TryTake(*connect_b)->status, Status::kOk);
   auto acc_b = w.server.TryTake(*accept_b);
@@ -243,7 +180,7 @@ void RunRelaySeed(uint64_t seed) {
   while (received.size() < sent.size()) {
     auto pop = w.client.Pop(*conn_b);
     ASSERT_TRUE(pop.ok());
-    ASSERT_TRUE(w.RunUntil([&] { return w.client.IsDone(*pop); }, dog))
+    ASSERT_TRUE(w.RunUntil([&] { return w.client.IsDone(*pop); }))
         << "relay stalled at " << received.size() << "/" << sent.size() << " bytes";
     auto r = w.client.TryTake(*pop);
     ASSERT_EQ(r->status, Status::kOk);
@@ -253,7 +190,7 @@ void RunRelaySeed(uint64_t seed) {
     }
     w.client.FreeSga(r->sga);
   }
-  ASSERT_TRUE(w.RunUntil([&] { return w.server.IsDone(*splice_out); }, dog));
+  ASSERT_TRUE(w.RunUntil([&] { return w.server.IsDone(*splice_out); }));
   auto out_r = w.server.TryTake(*splice_out);
   ASSERT_EQ(out_r->status, Status::kOk) << "outbound splice failed";
   ASSERT_EQ(out_r->bytes, sent.size());

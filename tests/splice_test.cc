@@ -20,6 +20,7 @@
 #include "src/storage/log_device.h"
 #include "src/storage/partitioned_log.h"
 #include "src/storage/sim_block_device.h"
+#include "tests/sim_world.h"
 
 namespace demi {
 namespace {
@@ -32,25 +33,19 @@ std::span<const uint8_t> Bytes(const std::string& s) {
 
 class SpliceLogTest : public ::testing::Test {
  protected:
-  SpliceLogTest() : dev_(SimBlockDevice::Config{}, clock_), sched_(clock_), log_(dev_, sched_) {}
-
-  void RunUntil(const bool& done) {
-    for (int guard = 0; guard < 100000 && !done; guard++) {
+  SpliceLogTest()
+      : dev_(SimBlockDevice::Config{}, world_.clock), sched_(world_.clock), log_(dev_, sched_) {
+    world_.AddHost([this] {
       log_.PollDevice();
-      sched_.Poll();
-      if (done) {
-        break;
-      }
-      // Advance virtual time to the next event: a device completion or a retry-backoff timer.
-      TimeNs next = log_.HasPendingIo() ? dev_.NextCompletionTime() : 0;
-      const TimeNs timer = sched_.NextTimerDeadline();
-      if (timer != 0 && (next == 0 || timer < next)) {
-        next = timer;
-      }
-      if (next > clock_.Now()) {
-        clock_.SetTime(next);
-      }
-    }
+      return sched_.Poll();
+    });
+    world_.Watch(sched_);
+    world_.Watch(dev_);
+  }
+
+  // Steps until `done`: device completions and retry-backoff timers move the virtual clock.
+  void RunUntil(const bool& done) {
+    world_.RunUntil([&] { return done; });
     ASSERT_TRUE(done) << "log operation did not finish";
   }
 
@@ -115,7 +110,7 @@ class SpliceLogTest : public ::testing::Test {
     return payload;
   }
 
-  VirtualClock clock_;
+  SimWorld world_{LinkConfig{}, /*seed=*/1, /*max_steps=*/100'000};
   SimBlockDevice dev_;
   Scheduler sched_;
   LogDevice log_;
@@ -251,12 +246,19 @@ TEST_F(SpliceLogTest, TornRetriesLeaveTailCacheCoherent) {
 // --- PartitionedLog: geometry, isolation, stitched recovery ---
 
 TEST(PartitionedLogTest, EpochStitchedRecoveryPreservesCrossPartitionOrder) {
-  VirtualClock clock;
-  SimBlockDevice dev(SimBlockDevice::Config{}, clock);
-  Scheduler sched(clock);
+  SimWorld w(LinkConfig{}, /*seed=*/1, /*max_steps=*/100'000);
+  SimBlockDevice dev(SimBlockDevice::Config{}, w.clock);
+  Scheduler sched(w.clock);
   PartitionedLog plog(dev, 2);
   LogDevice log0(dev, sched, plog.partition(0), &plog.epoch());
   LogDevice log1(dev, sched, plog.partition(1), &plog.epoch());
+  w.AddHost([&] {
+    log0.PollDevice();
+    log1.PollDevice();
+    return sched.Poll();
+  });
+  w.Watch(sched);
+  w.Watch(dev);
 
   // Interleave appends across the two partitions; the shared epoch must order them globally.
   auto append = [&](LogDevice& log, const std::string& payload) {
@@ -267,17 +269,7 @@ TEST(PartitionedLogTest, EpochStitchedRecoveryPreservesCrossPartitionOrder) {
       *st = r.ok() ? Status::kOk : r.error();
       *d = true;
     }(&log, payload, &done, &status));
-    for (int guard = 0; guard < 100000 && !done; guard++) {
-      log0.PollDevice();
-      log1.PollDevice();
-      sched.Poll();
-      if (!done) {
-        const TimeNs next = dev.NextCompletionTime();
-        if (next > clock.Now()) {
-          clock.SetTime(next);
-        }
-      }
-    }
+    w.RunUntil([&] { return done; });
     ASSERT_EQ(status, Status::kOk);
   };
   const std::vector<std::pair<int, std::string>> writes = {
@@ -300,16 +292,22 @@ TEST(PartitionedLogTest, EpochStitchedRecoveryPreservesCrossPartitionOrder) {
 }
 
 TEST(PartitionedLogTest, PartitionsAreCapacityIsolated) {
-  VirtualClock clock;
+  SimWorld w(LinkConfig{}, /*seed=*/1, /*max_steps=*/100'000);
   SimBlockDevice::Config cfg;
   cfg.num_blocks = 16;  // tiny device: 2 partitions x 8 blocks
-  SimBlockDevice dev(cfg, clock);
-  Scheduler sched(clock);
+  SimBlockDevice dev(cfg, w.clock);
+  Scheduler sched(w.clock);
   PartitionedLog plog(dev, 2);
   EXPECT_EQ(plog.partition(0).num_blocks, 8u);
   EXPECT_EQ(plog.partition(1).num_blocks, 8u);
   LogDevice log0(dev, sched, plog.partition(0), &plog.epoch());
   EXPECT_EQ(log0.CapacityBytes(), 8 * cfg.block_size);
+  w.AddHost([&] {
+    log0.PollDevice();
+    return sched.Poll();
+  });
+  w.Watch(sched);
+  w.Watch(dev);
 
   auto append = [&](const std::string& payload) {
     bool done = false;
@@ -319,16 +317,7 @@ TEST(PartitionedLogTest, PartitionsAreCapacityIsolated) {
       *st = r.ok() ? Status::kOk : r.error();
       *d = true;
     }(&log0, payload, &done, &status));
-    for (int guard = 0; guard < 100000 && !done; guard++) {
-      log0.PollDevice();
-      sched.Poll();
-      if (!done) {
-        const TimeNs next = dev.NextCompletionTime();
-        if (next > clock.Now()) {
-          clock.SetTime(next);
-        }
-      }
-    }
+    w.RunUntil([&] { return done; });
     return status;
   };
   // Fill partition 0 until it rejects; it must reject from ITS capacity, never spill into

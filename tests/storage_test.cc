@@ -13,6 +13,7 @@
 #include "src/runtime/scheduler.h"
 #include "src/storage/log_device.h"
 #include "src/storage/sim_block_device.h"
+#include "tests/sim_world.h"
 
 namespace demi {
 namespace {
@@ -97,20 +98,18 @@ TEST_F(BlockDeviceTest, CompletionsOrderedByTime) {
 class LogDeviceTest : public ::testing::Test {
  protected:
   LogDeviceTest()
-      : dev_(SimBlockDevice::Config{}, clock_), sched_(clock_), log_(dev_, sched_) {}
+      : dev_(SimBlockDevice::Config{}, world_.clock), sched_(world_.clock), log_(dev_, sched_) {
+    world_.AddHost([this] {
+      polled_->PollDevice();
+      return sched_.Poll();
+    });
+    world_.Watch(sched_);
+    world_.Watch(dev_);
+  }
 
   // Runs the scheduler until `done` while advancing the virtual clock to device completions.
   void RunUntil(const bool& done) {
-    for (int guard = 0; guard < 100000 && !done; guard++) {
-      log_.PollDevice();
-      sched_.Poll();
-      if (!done && log_.HasPendingIo()) {
-        const TimeNs next = dev_.NextCompletionTime();
-        if (next > clock_.Now()) {
-          clock_.SetTime(next);
-        }
-      }
-    }
+    world_.RunUntil([&] { return done; });
     ASSERT_TRUE(done) << "log operation did not finish";
   }
 
@@ -144,10 +143,11 @@ class LogDeviceTest : public ::testing::Test {
     return result;
   }
 
-  VirtualClock clock_;
+  SimWorld world_{LinkConfig{}, /*seed=*/1, /*max_steps=*/100'000};
   SimBlockDevice dev_;
   Scheduler sched_;
   LogDevice log_;
+  LogDevice* polled_ = &log_;  // the log whose device completions the world harvests
 };
 
 TEST_F(LogDeviceTest, AppendThenReadBack) {
@@ -220,16 +220,8 @@ TEST_F(LogDeviceTest, RecoveryRebuildsTailFromMedia) {
     out->assign(r->payload.begin(), r->payload.end());
     *done_out = true;
   }(&recovered, &done, &first));
-  for (int guard = 0; guard < 100000 && !done; guard++) {
-    recovered.PollDevice();
-    sched_.Poll();
-    if (!done) {
-      const TimeNs next = dev_.NextCompletionTime();
-      if (next > clock_.Now()) {
-        clock_.SetTime(next);
-      }
-    }
-  }
+  polled_ = &recovered;
+  world_.RunUntil([&] { return done; });
   ASSERT_TRUE(done);
   EXPECT_EQ(first, "persisted-one");
 }
@@ -245,16 +237,8 @@ TEST_F(LogDeviceTest, RecoveryAfterAppendContinuesLog) {
     EXPECT_TRUE(r.ok());
     *done_out = true;
   }(&recovered, &done));
-  for (int guard = 0; guard < 100000 && !done; guard++) {
-    recovered.PollDevice();
-    sched_.Poll();
-    if (!done) {
-      const TimeNs next = dev_.NextCompletionTime();
-      if (next > clock_.Now()) {
-        clock_.SetTime(next);
-      }
-    }
-  }
+  polled_ = &recovered;
+  world_.RunUntil([&] { return done; });
   ASSERT_TRUE(done);
 
   uint64_t cursor = 0;
@@ -269,16 +253,7 @@ TEST_F(LogDeviceTest, RecoveryAfterAppendContinuesLog) {
       *next = r->next_cursor;
       *done_out = true;
     }(&recovered, cursor, &rdone, &seen, &cursor));
-    for (int guard = 0; guard < 100000 && !rdone; guard++) {
-      recovered.PollDevice();
-      sched_.Poll();
-      if (!rdone) {
-        const TimeNs next = dev_.NextCompletionTime();
-        if (next > clock_.Now()) {
-          clock_.SetTime(next);
-        }
-      }
-    }
+    world_.RunUntil([&] { return rdone; });
     ASSERT_TRUE(rdone);
   }
   EXPECT_EQ(seen, (std::vector<std::string>{"before-crash", "after-crash"}));
@@ -298,14 +273,7 @@ TEST_F(LogDeviceTest, ConcurrentAppendsSerialize) {
       (*finished_out)++;
     }(&log_, i, &finished));
   }
-  for (int guard = 0; guard < 100000 && finished < kAppenders; guard++) {
-    log_.PollDevice();
-    sched_.Poll();
-    const TimeNs next = dev_.NextCompletionTime();
-    if (next > clock_.Now()) {
-      clock_.SetTime(next);
-    }
-  }
+  world_.RunUntil([&] { return finished == kAppenders; });
   ASSERT_EQ(finished, kAppenders);
 
   // All records readable, each exactly once.
@@ -341,10 +309,20 @@ TEST_F(LogDeviceTest, FillsToCapacityThenRejects) {
 
 // One LogDevice driven the way Cattree drives it, with appends queued from outside any fiber
 // so a test controls which records are queued together before the leader runs.
-class GroupCommitWorld {
+class GroupCommitWorld : public SimWorld {
  public:
   explicit GroupCommitWorld(SimBlockDevice::Config cfg = {})
-      : dev(cfg, clock), sched(clock), log(dev, sched) {}
+      : SimWorld(LinkConfig{}, /*seed=*/1, /*max_steps=*/100'000),
+        dev(cfg, clock),
+        sched(clock),
+        log(dev, sched) {
+    AddHost([this] {
+      log.PollDevice();
+      return sched.Poll();
+    });
+    Watch(sched);
+    Watch(dev);
+  }
 
   // Queues one append per payload (in order) and returns its result slot, filled once done.
   Result<uint64_t>* Queue(const std::string& payload) {
@@ -362,18 +340,7 @@ class GroupCommitWorld {
   // Runs the scheduler and the device poller, stepping virtual time to the next device
   // completion or retry-backoff timer, until every queued append has completed.
   void Drain() {
-    for (int guard = 0; guard < 100000 && pending_ > 0; guard++) {
-      log.PollDevice();
-      sched.Poll();
-      TimeNs next = log.HasPendingIo() ? dev.NextCompletionTime() : 0;
-      const TimeNs timer = sched.NextTimerDeadline();
-      if (timer != 0 && (next == 0 || timer < next)) {
-        next = timer;
-      }
-      if (next > clock.Now()) {
-        clock.SetTime(next);
-      }
-    }
+    RunUntil([this] { return pending_ == 0; });
     ASSERT_EQ(pending_, 0u) << "appends did not complete";
   }
 
@@ -402,14 +369,7 @@ class GroupCommitWorld {
         *res = co_await l->Read(at);
         *d = true;
       }(&log, cursor, &r, &done));
-      for (int guard = 0; guard < 100000 && !done; guard++) {
-        log.PollDevice();
-        sched.Poll();
-        const TimeNs next = dev.NextCompletionTime();
-        if (!done && next > clock.Now()) {
-          clock.SetTime(next);
-        }
-      }
+      RunUntil([&] { return done; });
       EXPECT_TRUE(done);
       if (!done || !r.ok()) {
         EXPECT_EQ(r.error(), Status::kEndOfFile);
@@ -437,7 +397,6 @@ class GroupCommitWorld {
     return out;
   }
 
-  VirtualClock clock;
   SimBlockDevice dev;
   Scheduler sched;
   LogDevice log;

@@ -2,7 +2,8 @@
 // cookie encode/decode properties, and the no-RST policy for backlog-pressured valid cookies.
 //
 // Stack-pair tests run two full stacks in deterministic stepped mode on a VirtualClock, same
-// harness as tcp_advanced_test. Crafted-segment tests drive the server's OnIpv4Packet directly.
+// harness as tcp_advanced_test (tests/stack_pair.h). Crafted-segment tests drive the server's
+// OnIpv4Packet directly.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include "src/net/tcp/syn_cookies.h"
 #include "src/net/tcp/tcp.h"
 #include "src/netsim/sim_network.h"
+#include "tests/stack_pair.h"
 
 namespace demi {
 namespace {
@@ -80,22 +82,7 @@ TEST(SynCookiesTest, RoundMssPicksLargestTableEntryNotAbove) {
 
 // --- Full-stack tests -------------------------------------------------------------
 
-struct Host {
-  Host(SimNetwork& net, VirtualClock& clock, MacAddr mac, Ipv4Addr ip, TcpConfig cfg)
-      : nic(net, mac, clock),
-        alloc(nic.registrar()),
-        sched(clock),
-        eth(nic, ip),
-        tcp(eth, sched, alloc, clock, cfg) {}
-
-  SimNic nic;
-  PoolAllocator alloc;
-  Scheduler sched;
-  EthernetLayer eth;
-  TcpStack tcp;
-};
-
-class SynCookieStackTest : public ::testing::Test {
+class SynCookieStackTest : public StackPairTest {
  protected:
   static TcpConfig ServerCfg() {
     TcpConfig cfg;
@@ -104,67 +91,12 @@ class SynCookieStackTest : public ::testing::Test {
   }
 
   SynCookieStackTest()
-      : net_(LinkConfig{}, 23),
-        client_(net_, clock_, MacAddr{0xA}, Ipv4Addr::FromOctets(10, 9, 0, 1), TcpConfig{}),
-        server_(net_, clock_, MacAddr{0xB}, Ipv4Addr::FromOctets(10, 9, 0, 2), ServerCfg()) {
-    client_.eth.arp().Insert(server_.eth.local_ip(), MacAddr{0xB});
-    server_.eth.arp().Insert(client_.eth.local_ip(), MacAddr{0xA});
-  }
+      : StackPairTest(LinkConfig{}, /*seed=*/23, /*max_steps=*/200'000,
+                      {MacAddr{0xA}, Ipv4Addr::FromOctets(10, 9, 0, 1)},
+                      {MacAddr{0xB}, Ipv4Addr::FromOctets(10, 9, 0, 2), ServerCfg()}) {}
 
-  void Step() {
-    const size_t activity = client_.eth.PollOnce() + server_.eth.PollOnce() +
-                            client_.sched.Poll() + server_.sched.Poll();
-    if (activity > 0) {
-      return;
-    }
-    TimeNs next = 0;
-    for (TimeNs t : {net_.NextDeliveryTime(), client_.sched.NextTimerDeadline(),
-                     server_.sched.NextTimerDeadline()}) {
-      if (t != 0 && (next == 0 || t < next)) {
-        next = t;
-      }
-    }
-    if (next > clock_.Now()) {
-      clock_.SetTime(next);
-    } else {
-      clock_.Advance(kMicrosecond);
-    }
-  }
-
-  template <typename Pred>
-  bool RunUntil(Pred&& pred, int max_steps = 200000) {
-    for (int i = 0; i < max_steps; i++) {
-      if (pred()) {
-        return true;
-      }
-      Step();
-    }
-    return pred();
-  }
-
-  void PushString(Host& host, const std::shared_ptr<TcpConnection>& conn,
-                  const std::string& data) {
-    void* app = host.alloc.Alloc(data.size());
-    std::memcpy(app, data.data(), data.size());
-    ASSERT_EQ(conn->Push(Buffer::FromApp(host.alloc, app, data.size())), Status::kOk);
-    host.alloc.Free(app);
-  }
-
-  std::string DrainString(const std::shared_ptr<TcpConnection>& conn, size_t expect) {
-    std::string out;
-    RunUntil([&] {
-      while (auto c = conn->PopData()) {
-        out.append(reinterpret_cast<const char*>(c->data()), c->size());
-      }
-      return out.size() >= expect;
-    });
-    return out;
-  }
-
-  VirtualClock clock_;
-  SimNetwork net_;
-  Host client_;
-  Host server_;
+  Host& client_ = a_;
+  Host& server_ = b_;
 };
 
 TEST_F(SynCookieStackTest, CookieHandshakeEstablishesHotOnlyThenTransfersData) {
@@ -219,7 +151,7 @@ TEST_F(SynCookieStackTest, ValidCookieOverFullAcceptQueueIsDroppedWithoutRst) {
   ASSERT_TRUE(c2.ok());
   RunUntil([&] { return server_.tcp.stats().syn_cookies_sent >= 2; });
   for (int i = 0; i < 2000; i++) {
-    Step();
+    world_.Step();
   }
   EXPECT_EQ(server_.tcp.stats().syn_cookies_validated, 1u);
   EXPECT_EQ(server_.tcp.NumConnections(), 1u);

@@ -11,104 +11,21 @@
 #include <string>
 
 #include "src/common/clock.h"
+#include "src/faults/fault_injector.h"
 #include "src/net/tcp/tcp.h"
 #include "src/netsim/sim_network.h"
+#include "tests/stack_pair.h"
 
 namespace demi {
 namespace {
 
-struct Host {
-  Host(SimNetwork& net, VirtualClock& clock, MacAddr mac, Ipv4Addr ip, TcpConfig cfg)
-      : nic(net, mac, clock),
-        alloc(nic.registrar()),
-        sched(clock),
-        eth(nic, ip),
-        tcp(eth, sched, alloc, clock, cfg) {}
-
-  SimNic nic;
-  PoolAllocator alloc;
-  Scheduler sched;
-  EthernetLayer eth;
-  TcpStack tcp;
-};
-
-class TcpAdvancedTest : public ::testing::Test {
+class TcpAdvancedTest : public StackPairTest {
  protected:
   explicit TcpAdvancedTest(LinkConfig link = LinkConfig{}, TcpConfig a_cfg = TcpConfig{},
                            TcpConfig b_cfg = TcpConfig{})
-      : net_(link, 11),
-        a_(net_, clock_, MacAddr{0xA}, Ipv4Addr::FromOctets(10, 1, 1, 1), a_cfg),
-        b_(net_, clock_, MacAddr{0xB}, Ipv4Addr::FromOctets(10, 1, 1, 2), b_cfg) {
-    a_.eth.arp().Insert(b_.eth.local_ip(), MacAddr{0xB});
-    b_.eth.arp().Insert(a_.eth.local_ip(), MacAddr{0xA});
-  }
-
-  void Step() {
-    const size_t activity =
-        a_.eth.PollOnce() + b_.eth.PollOnce() + a_.sched.Poll() + b_.sched.Poll();
-    if (activity > 0) {
-      return;
-    }
-    TimeNs next = 0;
-    for (TimeNs t : {net_.NextDeliveryTime(), a_.sched.NextTimerDeadline(),
-                     b_.sched.NextTimerDeadline()}) {
-      if (t != 0 && (next == 0 || t < next)) {
-        next = t;
-      }
-    }
-    if (next > clock_.Now()) {
-      clock_.SetTime(next);
-    } else {
-      clock_.Advance(kMicrosecond);
-    }
-  }
-
-  template <typename Pred>
-  bool RunUntil(Pred&& pred, int max_steps = 200000) {
-    for (int i = 0; i < max_steps; i++) {
-      if (pred()) {
-        return true;
-      }
-      Step();
-    }
-    return pred();
-  }
-
-  std::pair<std::shared_ptr<TcpConnection>, std::shared_ptr<TcpConnection>> EstablishPair(
-      uint16_t port = 9999) {
-    auto listener = b_.tcp.Listen(port, 16);
-    EXPECT_TRUE(listener.ok());
-    auto client = a_.tcp.Connect(SocketAddress{b_.eth.local_ip(), port});
-    EXPECT_TRUE(client.ok());
-    EXPECT_TRUE(RunUntil([&] {
-      return (*client)->state() == TcpState::kEstablished && (*listener)->HasPending();
-    }));
-    return {*client, (*listener)->Accept()};
-  }
-
-  void PushString(Host& host, const std::shared_ptr<TcpConnection>& conn,
-                  const std::string& data) {
-    void* app = host.alloc.Alloc(data.size());
-    std::memcpy(app, data.data(), data.size());
-    ASSERT_EQ(conn->Push(Buffer::FromApp(host.alloc, app, data.size())), Status::kOk);
-    host.alloc.Free(app);
-  }
-
-  std::string DrainString(const std::shared_ptr<TcpConnection>& conn, size_t expect) {
-    std::string out;
-    RunUntil([&] {
-      while (auto c = conn->PopData()) {
-        out.append(reinterpret_cast<const char*>(c->data()), c->size());
-      }
-      return out.size() >= expect;
-    });
-    return out;
-  }
-
-  VirtualClock clock_;
-  SimNetwork net_;
-  Host a_;
-  Host b_;
+      : StackPairTest(link, /*seed=*/11, /*max_steps=*/200'000,
+                      {MacAddr{0xA}, Ipv4Addr::FromOctets(10, 1, 1, 1), a_cfg},
+                      {MacAddr{0xB}, Ipv4Addr::FromOctets(10, 1, 1, 2), b_cfg}) {}
 };
 
 // --- Close choreography ---
@@ -320,23 +237,13 @@ TEST_F(TcpAdvancedTest, LargeWindowScalingMovesMoreThan64K) {
 // --- MSS negotiation with a smaller MTU peer ---
 
 TEST(TcpMtuTest, MssClampsToSmallerMtu) {
-  VirtualClock clock;
-  SimNetwork net(LinkConfig{.mtu = 600}, 2);
-  TcpConfig cfg;
-  Host a(net, clock, MacAddr{0x1}, Ipv4Addr::FromOctets(10, 2, 0, 1), cfg);
-  Host b(net, clock, MacAddr{0x2}, Ipv4Addr::FromOctets(10, 2, 0, 2), cfg);
-  a.eth.arp().Insert(b.eth.local_ip(), MacAddr{0x2});
-  b.eth.arp().Insert(a.eth.local_ip(), MacAddr{0x1});
-  auto step = [&] {
-    if (a.eth.PollOnce() + b.eth.PollOnce() + a.sched.Poll() + b.sched.Poll() == 0) {
-      clock.Advance(kMicrosecond);
-    }
-  };
+  SimWorld w(LinkConfig{.mtu = 600}, 2);
+  Host a(w, {MacAddr{0x1}, Ipv4Addr::FromOctets(10, 2, 0, 1)});
+  Host b(w, {MacAddr{0x2}, Ipv4Addr::FromOctets(10, 2, 0, 2)});
+  WarmArp(a, b);
   auto listener = b.tcp.Listen(80, 4);
   auto client = a.tcp.Connect(SocketAddress{b.eth.local_ip(), 80});
-  for (int i = 0; i < 100000 && !(*listener)->HasPending(); i++) {
-    step();
-  }
+  w.RunUntil([&] { return (*listener)->HasPending(); }, 100000);
   ASSERT_TRUE((*listener)->HasPending());
   auto server = (*listener)->Accept();
 
@@ -346,56 +253,44 @@ TEST(TcpMtuTest, MssClampsToSmallerMtu) {
   ASSERT_EQ((*client)->Push(Buffer::FromApp(a.alloc, app, data.size())), Status::kOk);
   a.alloc.Free(app);
   std::string out;
-  for (int i = 0; i < 200000 && out.size() < data.size(); i++) {
-    step();
+  w.RunUntil([&] {
     while (auto c = server->PopData()) {
       out.append(reinterpret_cast<const char*>(c->data()), c->size());
     }
-  }
+    return out.size() >= data.size();
+  }, 200000);
   EXPECT_EQ(out, data);  // every segment fit the 600 B MTU or the NIC would have rejected it
-  EXPECT_EQ(net.GetStats().frames_sent, a.nic.stats().tx_frames + b.nic.stats().tx_frames);
+  EXPECT_EQ(w.net.GetStats().frames_sent, a.nic.stats().tx_frames + b.nic.stats().tx_frames);
 }
 
 // --- Retransmission limits ---
 
 TEST(TcpDeadPeerTest, RetransmitLimitAbortsTheConnection) {
-  VirtualClock clock;
-  SimNetwork net(LinkConfig{}, 3);
   TcpConfig cfg;
   cfg.max_retransmits = 4;
-  Host a(net, clock, MacAddr{0x1}, Ipv4Addr::FromOctets(10, 3, 0, 1), cfg);
-  Host b(net, clock, MacAddr{0x2}, Ipv4Addr::FromOctets(10, 3, 0, 2), cfg);
-  a.eth.arp().Insert(b.eth.local_ip(), MacAddr{0x2});
-  b.eth.arp().Insert(a.eth.local_ip(), MacAddr{0x1});
-  auto step = [&](bool pump_b) {
-    size_t n = a.eth.PollOnce() + a.sched.Poll();
-    if (pump_b) {
-      n += b.eth.PollOnce() + b.sched.Poll();
-    }
-    if (n == 0) {
-      const TimeNs next = a.sched.NextTimerDeadline();
-      if (next > clock.Now()) {
-        clock.SetTime(next);
-      } else {
-        clock.Advance(kMicrosecond);
-      }
-    }
-  };
+  SimWorld w(LinkConfig{}, 3);
+  FaultInjector void_link;
+  Host a(w, {MacAddr{0x1}, Ipv4Addr::FromOctets(10, 3, 0, 1), cfg});
+  Host b(w, {MacAddr{0x2}, Ipv4Addr::FromOctets(10, 3, 0, 2), cfg});
+  WarmArp(a, b);
   auto listener = b.tcp.Listen(80, 4);
   auto client = a.tcp.Connect(SocketAddress{b.eth.local_ip(), 80});
-  for (int i = 0; i < 100000 && (*client)->state() != TcpState::kEstablished; i++) {
-    step(true);
-  }
+  w.RunUntil([&] { return (*client)->state() == TcpState::kEstablished; }, 100000);
   ASSERT_EQ((*client)->state(), TcpState::kEstablished);
 
-  // The peer "dies": stop pumping b entirely; a's data drains into the void.
+  // The peer "dies": the fabric swallows every frame from here on (a link flap that reopens
+  // on each frame), so a's data drains into the void.
+  FaultPlan plan;
+  plan.seed = 1;
+  plan.net_link_flap = 1.0;
+  plan.net_link_down_ns = 1;
+  void_link.Arm(plan);
+  w.net.SetFaultInjector(&void_link);
   void* app = a.alloc.Alloc(2048);
   std::memset(app, 1, 2048);
   ASSERT_EQ((*client)->Push(Buffer::FromApp(a.alloc, app, 2048)), Status::kOk);
   a.alloc.Free(app);
-  for (int i = 0; i < 400000 && (*client)->state() != TcpState::kClosed; i++) {
-    step(false);
-  }
+  w.RunUntil([&] { return (*client)->state() == TcpState::kClosed; }, 400000);
   EXPECT_EQ((*client)->state(), TcpState::kClosed);
   // Established-connection give-up surfaces as an abort, not a connect timeout.
   EXPECT_EQ((*client)->error(), Status::kConnectionAborted);

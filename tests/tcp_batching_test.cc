@@ -3,8 +3,8 @@
 // taken from cumulative acks that cover a retransmitted segment.
 //
 // All tests run two full stacks in deterministic stepped mode on a shared VirtualClock,
-// mirroring tcp_advanced_test; this fixture additionally exposes the EthernetLayer knobs
-// (software checksums, RX burst size) so multi-slice gather TX is checksummed end to end.
+// mirroring tcp_advanced_test; this fixture turns software checksums on so multi-slice gather
+// TX is checksummed end to end.
 
 #include <gtest/gtest.h>
 
@@ -16,101 +16,20 @@
 #include "src/faults/fault_injector.h"
 #include "src/net/tcp/tcp.h"
 #include "src/netsim/sim_network.h"
+#include "tests/stack_pair.h"
 
 namespace demi {
 namespace {
 
-struct Host {
-  Host(SimNetwork& net, VirtualClock& clock, MacAddr mac, Ipv4Addr ip, TcpConfig cfg,
-       bool checksum_offload, size_t rx_burst)
-      : nic(net, mac, clock),
-        alloc(nic.registrar()),
-        sched(clock),
-        eth(nic, ip, checksum_offload, rx_burst),
-        tcp(eth, sched, alloc, clock, cfg) {}
-
-  SimNic nic;
-  PoolAllocator alloc;
-  Scheduler sched;
-  EthernetLayer eth;
-  TcpStack tcp;
-};
-
-class TcpBatchingTest : public ::testing::Test {
+class TcpBatchingTest : public StackPairTest {
  protected:
   explicit TcpBatchingTest(LinkConfig link = LinkConfig{}, TcpConfig a_cfg = TcpConfig{},
-                           TcpConfig b_cfg = TcpConfig{}, bool checksum_offload = false,
-                           size_t rx_burst = EthernetLayer::kDefaultRxBurst)
-      : net_(link, 11),
-        a_(net_, clock_, MacAddr{0xA}, Ipv4Addr::FromOctets(10, 2, 2, 1), a_cfg,
-           checksum_offload, rx_burst),
-        b_(net_, clock_, MacAddr{0xB}, Ipv4Addr::FromOctets(10, 2, 2, 2), b_cfg,
-           checksum_offload, rx_burst) {
-    a_.eth.arp().Insert(b_.eth.local_ip(), MacAddr{0xB});
-    b_.eth.arp().Insert(a_.eth.local_ip(), MacAddr{0xA});
-  }
-
-  void Step() {
-    const size_t activity =
-        a_.eth.PollOnce() + b_.eth.PollOnce() + a_.sched.Poll() + b_.sched.Poll();
-    if (activity > 0) {
-      return;
-    }
-    TimeNs next = 0;
-    for (TimeNs t : {net_.NextDeliveryTime(), a_.sched.NextTimerDeadline(),
-                     b_.sched.NextTimerDeadline()}) {
-      if (t != 0 && (next == 0 || t < next)) {
-        next = t;
-      }
-    }
-    if (next > clock_.Now()) {
-      clock_.SetTime(next);
-    } else {
-      clock_.Advance(kMicrosecond);
-    }
-  }
-
-  template <typename Pred>
-  bool RunUntil(Pred&& pred, int max_steps = 400000) {
-    for (int i = 0; i < max_steps; i++) {
-      if (pred()) {
-        return true;
-      }
-      Step();
-    }
-    return pred();
-  }
-
-  std::pair<std::shared_ptr<TcpConnection>, std::shared_ptr<TcpConnection>> EstablishPair(
-      uint16_t port = 9999) {
-    auto listener = b_.tcp.Listen(port, 16);
-    EXPECT_TRUE(listener.ok());
-    auto client = a_.tcp.Connect(SocketAddress{b_.eth.local_ip(), port});
-    EXPECT_TRUE(client.ok());
-    EXPECT_TRUE(RunUntil([&] {
-      return (*client)->state() == TcpState::kEstablished && (*listener)->HasPending();
-    }));
-    return {*client, (*listener)->Accept()};
-  }
-
-  void PushString(Host& host, const std::shared_ptr<TcpConnection>& conn,
-                  const std::string& data) {
-    void* app = host.alloc.Alloc(data.size());
-    std::memcpy(app, data.data(), data.size());
-    ASSERT_EQ(conn->Push(Buffer::FromApp(host.alloc, app, data.size())), Status::kOk);
-    host.alloc.Free(app);
-  }
-
-  std::string DrainString(const std::shared_ptr<TcpConnection>& conn, size_t expect) {
-    std::string out;
-    RunUntil([&] {
-      while (auto c = conn->PopData()) {
-        out.append(reinterpret_cast<const char*>(c->data()), c->size());
-      }
-      return out.size() >= expect;
-    });
-    return out;
-  }
+                           TcpConfig b_cfg = TcpConfig{})
+      : StackPairTest(link, /*seed=*/11, /*max_steps=*/400'000,
+                      {MacAddr{0xA}, Ipv4Addr::FromOctets(10, 2, 2, 1), a_cfg,
+                       /*checksum_offload=*/false},
+                      {MacAddr{0xB}, Ipv4Addr::FromOctets(10, 2, 2, 2), b_cfg,
+                       /*checksum_offload=*/false}) {}
 
   // Drops every frame transmitted while the returned guard is live: arms a link flap that
   // reopens on each frame (probability 1), so the triggering frame itself is swallowed.
@@ -124,11 +43,7 @@ class TcpBatchingTest : public ::testing::Test {
   }
   void StopDroppingFrames() { net_.SetFaultInjector(nullptr); }
 
-  VirtualClock clock_;
-  SimNetwork net_;
   FaultInjector dropper_;
-  Host a_;
-  Host b_;
 };
 
 // --- MSS coalescing ---
@@ -160,15 +75,12 @@ TEST_F(TcpBatchingTest, CoalescingOffSendsOneSegmentPerPush) {
   ASSERT_TRUE(listener.ok());
   // The fixture's a_ uses the default (coalescing) config, so drive the ablation from a fresh
   // host on the same fabric.
-  Host c(net_, clock_, MacAddr{0xC}, Ipv4Addr::FromOctets(10, 2, 2, 3), off,
-         /*checksum_offload=*/false, EthernetLayer::kDefaultRxBurst);
-  c.eth.arp().Insert(b_.eth.local_ip(), MacAddr{0xB});
-  b_.eth.arp().Insert(c.eth.local_ip(), MacAddr{0xC});
+  Host c(world_, {MacAddr{0xC}, Ipv4Addr::FromOctets(10, 2, 2, 3), off,
+                  /*checksum_offload=*/false});
+  WarmArp(c, b_);
   auto client = c.tcp.Connect(SocketAddress{b_.eth.local_ip(), 5001});
   ASSERT_TRUE(client.ok());
   ASSERT_TRUE(RunUntil([&] {
-    c.eth.PollOnce();
-    c.sched.Poll();
     return (*client)->state() == TcpState::kEstablished && (*listener)->HasPending();
   }));
   auto server = (*listener)->Accept();
@@ -183,8 +95,6 @@ TEST_F(TcpBatchingTest, CoalescingOffSendsOneSegmentPerPush) {
   }
   std::string got;
   RunUntil([&] {
-    c.eth.PollOnce();
-    c.sched.Poll();
     while (auto chunk = server->PopData()) {
       got.append(reinterpret_cast<const char*>(chunk->data()), chunk->size());
     }

@@ -30,6 +30,7 @@
 #include "src/liboses/catnip.h"
 #include "src/net/headers.h"
 #include "src/netsim/sim_network.h"
+#include "tests/sim_world.h"
 
 namespace demi {
 namespace {
@@ -42,48 +43,19 @@ constexpr int kVictimRounds = 40;
 constexpr size_t kFloodMsgBytes = 2048;
 constexpr int kFloodWindow = 4;  // junk messages the flooding client keeps outstanding
 
-std::vector<uint64_t> SeedList() {
-  if (const char* s = std::getenv("DEMI_FAULT_SEED")) {
-    return {std::strtoull(s, nullptr, 10)};
-  }
-  uint64_t count = 20;
-  if (const char* c = std::getenv("DEMI_CHAOS_SEEDS")) {
-    count = std::strtoull(c, nullptr, 10);
-    if (count == 0) {
-      count = 1;
-    }
-  }
-  std::vector<uint64_t> seeds;
-  for (uint64_t i = 1; i <= count; i++) {
-    seeds.push_back(i);
-  }
-  return seeds;
-}
-
 std::string ReplayHint(uint64_t seed) {
   return "seed " + std::to_string(seed) +
          " — replay with: DEMI_FAULT_SEED=" + std::to_string(seed) + " ./tenant_chaos_test";
 }
 
-class Watchdog {
- public:
-  explicit Watchdog(int budget_seconds = 30)
-      : start_(std::chrono::steady_clock::now()), budget_seconds_(budget_seconds) {}
-  bool Expired() const {
-    return std::chrono::steady_clock::now() - start_ > std::chrono::seconds(budget_seconds_);
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-  int budget_seconds_;
-};
-
 // The deterministic two-host world: server (both tenants) and client Catnips on one
 // VirtualClock, with the injector wired into the fabric so tenant_drop reaches the server's
-// TX path through the SimNetwork fallback.
-struct NoisyWorld {
+// TX path through the SimNetwork fallback. The scenario adds the hosts: its app pumps run
+// first in every round.
+struct NoisyWorld : SimWorld {
   explicit NoisyWorld(const FaultPlan& plan)
-      : net(LinkConfig{}, /*seed=*/plan.seed + 0x7EA47),
+      : SimWorld(LinkConfig{}, /*seed=*/plan.seed + 0x7EA47, /*max_steps=*/4'000'000,
+                 /*wall_budget=*/std::chrono::seconds(30)),
         server(net, StackConfig(MacAddr{0x5}, Ipv4Addr::FromOctets(10, 9, 0, 1)), clock),
         client(net, StackConfig(MacAddr{0xC}, Ipv4Addr::FromOctets(10, 9, 0, 2)), clock) {
     server.ethernet().arp().Insert(client.local_ip(), MacAddr{0xC});
@@ -100,33 +72,8 @@ struct NoisyWorld {
     return c;
   }
 
-  void AdvanceClock() {
-    TimeNs next = 0;
-    const auto consider = [&next](TimeNs t) {
-      if (t != 0 && (next == 0 || t < next)) {
-        next = t;
-      }
-    };
-    consider(net.NextDeliveryTime());
-    consider(server.scheduler().NextTimerDeadline());
-    consider(client.scheduler().NextTimerDeadline());
-    if (next > clock.Now()) {
-      clock.SetTime(next);
-    } else {
-      clock.Advance(kMicrosecond);
-    }
-  }
-
-  void Step() {
-    server.PollOnce();
-    client.PollOnce();
-    AdvanceClock();
-  }
-
   // Declaration order doubles as destruction order (reversed): the libOSes go first, while the
-  // injector and network they point into are still alive.
-  VirtualClock clock;
-  SimNetwork net;
+  // injector and the world's network they point into are still alive.
   FaultInjector faults;
   Catnip server;
   Catnip client;
@@ -174,7 +121,7 @@ struct EchoConn {
   uint64_t echoes = 0;
 };
 
-Outcome RunNoisyNeighborScenario(uint64_t seed, const Watchdog& dog) {
+Outcome RunNoisyNeighborScenario(uint64_t seed) {
   FaultPlan plan;
   plan.seed = seed;
   plan.net_corrupt = 0.01;  // light corruption on every link, both tenants
@@ -279,27 +226,18 @@ Outcome RunNoisyNeighborScenario(uint64_t seed, const Watchdog& dog) {
     }
   };
 
-  const auto step_world = [&]() {
+  // Every round, the apps react to what the last round completed before the stacks poll.
+  w.AddHost([&] {
     pump_server(victim_sc);
     pump_server(flood_sc);
     pump_flooder();
-    w.Step();
-  };
-  const auto run_until = [&](auto&& pred) {
-    for (int i = 0; i < 4'000'000; i++) {
-      if (pred()) {
-        return true;
-      }
-      if ((i & 1023) == 0 && dog.Expired()) {
-        return false;
-      }
-      step_world();
-    }
-    return pred();
-  };
+    return size_t{0};
+  });
+  w.AddLibOS(w.server);
+  w.AddLibOS(w.client);
 
   // Establish both connections and arm the server pumps.
-  if (!run_until([&] {
+  if (!w.RunUntil([&] {
         return w.server.IsDone(*victim_accept) && w.server.IsDone(*flood_accept) &&
                w.client.IsDone(*victim_connect) && w.client.IsDone(*flood_connect);
       })) {
@@ -358,7 +296,7 @@ Outcome RunNoisyNeighborScenario(uint64_t seed, const Watchdog& dog) {
     }
     std::string echo;
     bool round_done = false;
-    if (!run_until([&] {
+    if (!w.RunUntil([&] {
           if (!w.client.IsDone(*pop)) {
             return false;
           }
@@ -405,9 +343,8 @@ Outcome RunNoisyNeighborScenario(uint64_t seed, const Watchdog& dog) {
 
 TEST(TenantChaosSoak, VictimSurvivesNoisyNeighborAcrossSeeds) {
   for (uint64_t seed : SeedList()) {
-    Watchdog dog(30);
     SCOPED_TRACE(ReplayHint(seed));
-    Outcome out = RunNoisyNeighborScenario(seed, dog);
+    Outcome out = RunNoisyNeighborScenario(seed);
     ASSERT_TRUE(out.completed) << "scenario did not complete, " << ReplayHint(seed);
     // The victim's stream stayed byte-exact (checked per round) and its latency bounded: the
     // flooder's backlog must not capture the link. Medians are sub-millisecond in a quiet
@@ -424,10 +361,8 @@ TEST(TenantChaosSoak, VictimSurvivesNoisyNeighborAcrossSeeds) {
 
 TEST(TenantChaosSoak, SameSeedReplaysToIdenticalOutcome) {
   const uint64_t seed = SeedList().front();
-  Watchdog dog1(30);
-  Outcome a = RunNoisyNeighborScenario(seed, dog1);
-  Watchdog dog2(30);
-  Outcome b = RunNoisyNeighborScenario(seed, dog2);
+  Outcome a = RunNoisyNeighborScenario(seed);
+  Outcome b = RunNoisyNeighborScenario(seed);
   ASSERT_TRUE(a.completed);
   ASSERT_TRUE(b.completed);
   EXPECT_TRUE(a == b) << "same seed diverged: transcripts "

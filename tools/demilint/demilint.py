@@ -31,12 +31,14 @@ invariants the compiler cannot see:
   nodiscard-status   every Status-returning declaration in a src/ header carries
                      [[nodiscard]]; Result<T> must be class-level [[nodiscard]].
   metric-name-drift  the set of metric names registered in src/ equals the set documented
-                     in docs/OBSERVABILITY.md (both directions; subsumes check_docs.sh's
-                     docs->src direction).
+                     in docs/OBSERVABILITY.md (both directions).
   trace-name-drift   trace event names in src/observability/trace.cc equal the documented
                      tracer event schema.
   header-guard       src/**/*.h guards follow SRC_PATH_TO_FILE_H_.
   include-style      quoted includes are full repo paths ("src/...").
+  md-link            every intra-repo markdown link in a *.md file resolves to an existing
+                     file or directory (http(s)/mailto links and bare #anchors are skipped;
+                     build trees and the selftest fixtures are not scanned).
 
 Region and suppression directives (in source comments):
 
@@ -72,7 +74,8 @@ WORKER_END = re.compile(r"//\s*demilint:\s*end-worker-context\s*$")
 SHARD_LOCAL = re.compile(r"//\s*demilint:\s*shard-local\s*$")
 ATOMIC_JUSTIFY = re.compile(r"//\s*demilint:\s*atomic\(")
 ALLOW = re.compile(r"//\s*demilint:\s*allow\(([a-z-]+)\)")
-EXPECT = re.compile(r"//\s*demilint-expect:\s*([a-z-]+)")
+# `//` in sources, `<!--` in markdown fixtures.
+EXPECT = re.compile(r"(?://|<!--)\s*demilint-expect:\s*([a-z-]+)")
 
 # fastpath-abort: aborting constructs. DEMI_DCHECK is fine (debug-only); the negative
 # lookbehind keeps DEMI_CHECK from matching inside it.
@@ -129,6 +132,7 @@ RE_TRACE_NAME = re.compile(r"return\s+\"([a-z0-9_]+)\"\s*;")
 RE_DOC_METRIC = re.compile(r"^\| `([a-z0-9_]+\.[a-z0-9_]+)`", re.M)
 RE_DOC_TRACE = re.compile(r"^\| `([a-z0-9_]+)` \|", re.M)
 RE_INCLUDE_Q = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
+RE_MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
 # Directories whose files are the shared-nothing datapath: mutable static state here is a
 # cross-shard race by construction. `src/fixtures/` is the selftest namespace — fixture
@@ -434,6 +438,42 @@ def lint_repo_consistency(root):
     return diags
 
 
+def lint_markdown(path, rel, text, root):
+    """md-link: each [text](target) must resolve — relative to the file's directory, or to
+    `root` for a /-rooted target. External links and bare anchors are skipped."""
+    diags = []
+    for idx, line in enumerate(text.splitlines(), start=1):
+        for m in RE_MD_LINK.finditer(line):
+            target = m.group(1)
+            if target.startswith(("http://", "https://", "mailto:", "#")):
+                continue
+            target_path = target.split("#", 1)[0]
+            if not target_path:
+                continue
+            if target_path.startswith("/"):
+                resolved = os.path.join(root, target_path.lstrip("/"))
+            else:
+                resolved = os.path.join(os.path.dirname(path), target_path)
+            if not os.path.exists(resolved):
+                diags.append(Diagnostic(rel, idx, "md-link", f"broken link -> {target}"))
+    return diags
+
+
+def iter_markdown(root):
+    """Every *.md in the repo except build trees, .git and the selftest fixtures."""
+    for dirpath, dirnames, files in os.walk(root):
+        rel_dir = os.path.relpath(dirpath, root).replace(os.sep, "/")
+        dirnames[:] = sorted(
+            d for d in dirnames
+            if d != ".git" and not (rel_dir == "." and (d == "build" or d.startswith("build-")))
+            and f"{rel_dir}/{d}" != "tools/demilint/fixtures")
+        for name in sorted(files):
+            if name.endswith(".md"):
+                path = os.path.join(dirpath, name)
+                with open(path, encoding="utf-8") as f:
+                    yield path, os.path.relpath(path, root).replace(os.sep, "/"), f.read()
+
+
 def iter_sources(root):
     src = os.path.join(root, "src")
     for dirpath, _, files in sorted(os.walk(src)):
@@ -456,12 +496,16 @@ def run_lint(root):
     for path, rel, text in sources:
         diags.extend(lint_file(path, rel, text, shard_local_names))
     diags.extend(lint_repo_consistency(root))
+    md_files = list(iter_markdown(root))
+    for path, rel, text in md_files:
+        diags.extend(lint_markdown(path, rel, text, root))
     for d in diags:
         print(d)
     if diags:
         print(f"demilint: FAILED ({len(diags)} violation(s))")
         return 1
-    print(f"demilint: OK ({len(shard_local_names)} shard-local identifiers guarded)")
+    print(f"demilint: OK ({len(shard_local_names)} shard-local identifiers guarded, "
+          f"{len(md_files)} markdown files link-checked)")
     return 0
 
 
@@ -473,7 +517,7 @@ def run_selftest():
     failed = False
     seen_any = False
     for name in sorted(os.listdir(fixtures)):
-        if not name.endswith((".h", ".cc")):
+        if not name.endswith((".h", ".cc", ".md")):
             continue
         seen_any = True
         path = os.path.join(fixtures, name)
@@ -486,7 +530,14 @@ def run_selftest():
         for idx, line in enumerate(text.splitlines(), start=1):
             for m in EXPECT.finditer(line):
                 expected.add((idx, m.group(1)))
-        got = {(d.line, d.rule) for d in lint_file(path, rel, text)}
+        if name.endswith(".md"):
+            diags = lint_markdown(path, rel, text, fixtures)
+            if len(diags) != len({(d.line, d.rule) for d in diags}):
+                print(f"selftest EXTRA: {name}: a broken link was reported more than once")
+                failed = True
+        else:
+            diags = lint_file(path, rel, text)
+        got = {(d.line, d.rule) for d in diags}
         for miss in sorted(expected - got):
             print(f"selftest MISS: {name}:{miss[0]} expected [{miss[1]}] not reported")
             failed = True
