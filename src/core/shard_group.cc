@@ -1,6 +1,5 @@
 #include "src/core/shard_group.h"
 
-#include <algorithm>
 #include <sstream>
 
 #include "src/common/affinity.h"
@@ -66,10 +65,12 @@ void ShardGroup::WorkerMain(size_t shard_id) {
   for (const auto& [ip, mac] : options_.static_arp) {
     os->ethernet().arp().Insert(ip, mac);
   }
-  os->metrics().RegisterGauge("shard.id", "shard", "index", "This worker's shard index")
+  os->metrics()
+      .RegisterGauge("shard.id", "shard", "index", "This worker's shard index", RollupRule::kSame)
       .Set(static_cast<int64_t>(shard_id));
   os->metrics()
-      .RegisterGauge("shard.workers", "shard", "count", "Workers in this shard group")
+      .RegisterGauge("shard.workers", "shard", "count", "Workers in this shard group",
+                     RollupRule::kSame)
       .Set(static_cast<int64_t>(options_.num_workers));
   {
     std::unique_lock<std::mutex> lock(init_mu_);
@@ -120,7 +121,7 @@ void ShardGroup::Join() {
 std::string ShardGroup::ExportMetricsText() const {
   // Annotated control-domain exemption (docs/STATIC_ANALYSIS.md): scraping metrics reads
   // shard-owned instruments from the spawning thread. Counters/gauges are relaxed atomics and
-  // callback-backed stats tolerate staleness, so this cross-domain read is deliberate.
+  // sampled stats tolerate staleness, so this cross-domain read is deliberate.
   [[maybe_unused]] AffinityExemptScope metrics_scrape;
   std::ostringstream out;
   for (size_t i = 0; i < shards_.size(); i++) {
@@ -129,69 +130,20 @@ std::string ShardGroup::ExportMetricsText() const {
       out << shards_[i]->metrics().ExportText();
     }
   }
-  out << "# shard=all (rollup)\n";
-  for (const auto& s : AggregateSnapshot()) {
-    out << s.name << " " << (s.type == MetricType::kHistogram
-                                 ? static_cast<int64_t>(s.count)
-                                 : s.value)
-        << "\n";
-  }
+  out << "# shard=all (rollup)\n" << MetricsRegistry::FormatText(AggregateSnapshot());
   return out.str();
 }
 
 std::vector<MetricsRegistry::Sample> ShardGroup::AggregateSnapshot() const {
   // Same control-domain exemption as ExportMetricsText: telemetry reads only.
   [[maybe_unused]] AffinityExemptScope metrics_scrape;
-  std::vector<MetricsRegistry::Sample> rollup;
-  auto find = [&rollup](const std::string& name) -> MetricsRegistry::Sample* {
-    for (auto& s : rollup) {
-      if (s.name == name) {
-        return &s;
-      }
-    }
-    return nullptr;
-  };
-  for (size_t i = 0; i < shards_.size(); i++) {
-    if (shards_[i] == nullptr) {
-      continue;
-    }
-    for (const MetricsRegistry::Sample& s : shards_[i]->metrics().Snapshot()) {
-      if (s.name == "shard.id" || s.name == "nic.queue_id" || s.name == "log.partition_id") {
-        continue;  // per-shard identity, meaningless summed
-      }
-      if (s.component == "net" && i != 0) {
-        continue;  // fabric-global counter, identical in every shard's view: count it once
-      }
-      if (plog_ != nullptr && s.component == "blockdev" && i != 0) {
-        continue;  // the shared device's counters are identical in every shard: count once
-      }
-      MetricsRegistry::Sample* agg = find(s.name);
-      if (agg == nullptr) {
-        rollup.push_back(s);
-        continue;
-      }
-      if (s.type == MetricType::kHistogram) {
-        // Sum counts; keep the quantile fields of the shard that saw the most samples.
-        const uint64_t combined = agg->count + s.count;
-        if (s.count > agg->count) {
-          MetricsRegistry::Sample dens = s;
-          dens.count = combined;
-          *agg = dens;
-        } else {
-          agg->count = combined;
-        }
-      } else if (s.name == "shard.workers") {
-        agg->value = s.value;  // identical everywhere; summing would read as workers^2
-      } else {
-        agg->value += s.value;
-      }
+  std::vector<const MetricsRegistry*> registries;
+  for (const auto& shard : shards_) {
+    if (shard != nullptr) {
+      registries.push_back(&shard->metrics());
     }
   }
-  std::sort(rollup.begin(), rollup.end(),
-            [](const MetricsRegistry::Sample& a, const MetricsRegistry::Sample& b) {
-              return a.component != b.component ? a.component < b.component : a.name < b.name;
-            });
-  return rollup;
+  return MetricsRegistry::Rollup(registries);
 }
 // demilint: end-control-plane
 

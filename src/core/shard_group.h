@@ -92,9 +92,9 @@ class ShardGroup {
 
   // Every shard's registry rendered with a `shard=<i>` label banner, followed by the rollup.
   std::string ExportMetricsText() const;
-  // Aggregated rollup: per-name sum across shards (histograms: counts summed, quantiles taken
-  // from the densest shard). Per-shard identity gauges (shard.id, nic.queue_id) are skipped;
-  // fabric-global metrics (net.*) are taken from shard 0 instead of multiply-counted.
+  // One sample per metric across every shard, combined by the rollup rule each metric declared
+  // at registration (MetricsRegistry::Rollup): counters and gauges sum, histograms merge, and
+  // identities, high-water marks and shared sources follow their kSame/kMax/kOnce rules.
   std::vector<MetricsRegistry::Sample> AggregateSnapshot() const;
 
  private:

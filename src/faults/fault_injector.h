@@ -135,7 +135,7 @@ class FaultInjector {
   };
   Stats GetStats() const;
 
-  // Registers the `faults.*` metric family (callback-sampled from Stats).
+  // Registers the `faults.*` metric family (counters sampled from Stats).
   void RegisterMetrics(MetricsRegistry& registry);
   void SetTracer(Tracer* tracer) { tracer_ = tracer; }
 

@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
+#include <unordered_set>
 
 #include "src/common/logging.h"
 
@@ -54,8 +55,6 @@ const char* MetricTypeName(MetricType type) {
       return "counter";
     case MetricType::kGauge:
       return "gauge";
-    case MetricType::kCallback:
-      return "counter";  // callbacks sample a component counter; same semantics for consumers
     case MetricType::kHistogram:
       return "histogram";
   }
@@ -64,59 +63,66 @@ const char* MetricTypeName(MetricType type) {
 
 MetricsRegistry::Entry& MetricsRegistry::Intern(std::string name, std::string component,
                                                 std::string unit, std::string help,
-                                                MetricType type) {
+                                                MetricType type, RollupRule rollup) {
   auto it = index_.find(name);
   if (it != index_.end()) {
     Entry& e = *entries_[it->second];
-    DEMI_CHECK_MSG(e.type == type, "metric re-registered with a different type");
+    DEMI_CHECK_MSG(e.type == type && e.rollup == rollup,
+                   "metric re-registered with a different kind or rollup");
     return e;
   }
-  auto entry = std::make_unique<Entry>();
-  entry->name = std::move(name);
-  entry->component = std::move(component);
-  entry->unit = std::move(unit);
-  entry->help = std::move(help);
-  entry->type = type;
-  entries_.push_back(std::move(entry));
-  index_[entries_.back()->name] = entries_.size() - 1;
+  index_[name] = entries_.size();
+  entries_.push_back(std::make_unique<Entry>(Entry{std::move(name), std::move(component),
+                                                   std::move(unit), std::move(help), type,
+                                                   rollup}));
   return *entries_.back();
 }
 
 Counter& MetricsRegistry::RegisterCounter(std::string name, std::string component,
-                                          std::string unit, std::string help) {
+                                          std::string unit, std::string help,
+                                          RollupRule rollup) {
   Entry& e = Intern(std::move(name), std::move(component), std::move(unit), std::move(help),
-                    MetricType::kCounter);
+                    MetricType::kCounter, rollup);
   if (!e.counter) {
     e.counter = std::make_unique<Counter>();
+    e.sample = [c = e.counter.get()] { return static_cast<int64_t>(c->Value()); };
   }
   return *e.counter;
 }
 
+void MetricsRegistry::RegisterCounter(std::string name, std::string component, std::string unit,
+                                      std::string help, Sampler sample, RollupRule rollup) {
+  Intern(std::move(name), std::move(component), std::move(unit), std::move(help),
+         MetricType::kCounter, rollup)
+      .sample = std::move(sample);
+}
+
 Gauge& MetricsRegistry::RegisterGauge(std::string name, std::string component, std::string unit,
-                                      std::string help) {
+                                      std::string help, RollupRule rollup) {
   Entry& e = Intern(std::move(name), std::move(component), std::move(unit), std::move(help),
-                    MetricType::kGauge);
+                    MetricType::kGauge, rollup);
   if (!e.gauge) {
     e.gauge = std::make_unique<Gauge>();
+    e.sample = [g = e.gauge.get()] { return g->Value(); };
   }
   return *e.gauge;
+}
+
+void MetricsRegistry::RegisterGauge(std::string name, std::string component, std::string unit,
+                                    std::string help, Sampler sample, RollupRule rollup) {
+  Intern(std::move(name), std::move(component), std::move(unit), std::move(help),
+         MetricType::kGauge, rollup)
+      .sample = std::move(sample);
 }
 
 Histogram& MetricsRegistry::RegisterHistogram(std::string name, std::string component,
                                               std::string unit, std::string help) {
   Entry& e = Intern(std::move(name), std::move(component), std::move(unit), std::move(help),
-                    MetricType::kHistogram);
+                    MetricType::kHistogram, RollupRule::kSum);
   if (!e.histogram) {
     e.histogram = std::make_unique<Histogram>();
   }
   return *e.histogram;
-}
-
-void MetricsRegistry::RegisterCallback(std::string name, std::string component, std::string unit,
-                                       std::string help, std::function<uint64_t()> fn) {
-  Entry& e = Intern(std::move(name), std::move(component), std::move(unit), std::move(help),
-                    MetricType::kCallback);
-  e.callback = std::move(fn);
 }
 
 bool MetricsRegistry::Unregister(std::string_view name) {
@@ -149,48 +155,61 @@ size_t MetricsRegistry::UnregisterComponent(std::string_view component) {
 }
 
 size_t MetricsRegistry::NumComponents() const {
-  std::vector<std::string_view> seen;
+  std::unordered_set<std::string_view> components;
   for (const auto& e : entries_) {
-    if (std::find(seen.begin(), seen.end(), e->component) == seen.end()) {
-      seen.push_back(e->component);
-    }
+    components.insert(e->component);
   }
-  return seen.size();
+  return components.size();
 }
 
-std::vector<MetricsRegistry::Sample> MetricsRegistry::Snapshot() const {
-  std::vector<Sample> out;
-  out.reserve(entries_.size());
-  for (const auto& e : entries_) {
-    Sample s;
-    s.name = e->name;
-    s.component = e->component;
-    s.unit = e->unit;
-    s.type = e->type;
-    switch (e->type) {
-      case MetricType::kCounter:
-        s.value = static_cast<int64_t>(e->counter->Value());
-        break;
-      case MetricType::kGauge:
-        s.value = e->gauge->Value();
-        break;
-      case MetricType::kCallback:
-        s.value = e->callback ? static_cast<int64_t>(e->callback()) : 0;
-        break;
-      case MetricType::kHistogram: {
-        const Histogram& h = *e->histogram;
-        s.count = h.count();
-        s.mean = h.Mean();
-        s.min = h.min();
-        s.p50 = h.P50();
-        s.p99 = h.P99();
-        s.p999 = h.P999();
-        s.max = h.max();
-        s.value = static_cast<int64_t>(s.count);
-        break;
+std::vector<MetricsRegistry::Sample> MetricsRegistry::Rollup(
+    const std::vector<const MetricsRegistry*>& registries) {
+  struct Acc {
+    Sample sample;
+    RollupRule rollup;
+    std::unique_ptr<Histogram> merged;  // histograms only
+    bool agreed = true;                 // kSame: every registry reported the same value
+  };
+  std::vector<Acc> acc;
+  std::unordered_map<std::string_view, size_t> slot;  // name -> acc index
+  for (const MetricsRegistry* reg : registries) {
+    for (const auto& e : reg->entries_) {
+      const int64_t v = e->sample ? e->sample() : 0;
+      const auto [it, fresh] = slot.try_emplace(e->name, acc.size());
+      if (fresh) {
+        acc.push_back({Sample{e->name, e->component, e->unit, e->type, v}, e->rollup,
+                       e->histogram ? std::make_unique<Histogram>(*e->histogram) : nullptr});
+        continue;
       }
+      Acc& a = acc[it->second];
+      int64_t& total = a.sample.value;
+      if (a.merged != nullptr && e->histogram != nullptr) {
+        a.merged->Merge(*e->histogram);
+      } else if (a.rollup == RollupRule::kSum) {
+        total += v;
+      } else if (a.rollup == RollupRule::kMax) {
+        total = std::max(total, v);
+      } else if (a.rollup == RollupRule::kSame) {
+        a.agreed = a.agreed && total == v;
+      }  // kOnce: the first registry's value stands
     }
-    out.push_back(std::move(s));
+  }
+  std::vector<Sample> out;
+  for (Acc& a : acc) {
+    if (const Histogram* h = a.merged.get()) {
+      Sample& s = a.sample;
+      s.count = h->count();
+      s.value = static_cast<int64_t>(s.count);
+      s.mean = h->Mean();
+      s.min = h->min();
+      s.p50 = h->P50();
+      s.p99 = h->P99();
+      s.p999 = h->P999();
+      s.max = h->max();
+    }
+    if (a.agreed) {
+      out.push_back(std::move(a.sample));
+    }
   }
   std::sort(out.begin(), out.end(), [](const Sample& a, const Sample& b) {
     return a.component != b.component ? a.component < b.component : a.name < b.name;
@@ -198,11 +217,14 @@ std::vector<MetricsRegistry::Sample> MetricsRegistry::Snapshot() const {
   return out;
 }
 
-std::string MetricsRegistry::ExportText() const {
-  const std::vector<Sample> samples = Snapshot();
+std::string MetricsRegistry::FormatText(const std::vector<Sample>& samples) {
+  std::unordered_set<std::string_view> components;
+  for (const Sample& s : samples) {
+    components.insert(s.component);
+  }
   std::string out;
   AppendF(&out, "# metrics: %zu instruments, %zu components\n", samples.size(),
-          NumComponents());
+          components.size());
   for (const Sample& s : samples) {
     if (s.type == MetricType::kHistogram) {
       AppendF(&out,

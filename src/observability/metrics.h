@@ -3,8 +3,9 @@
 // The paper's evaluation (§7) lives and dies on nanosecond-granularity datapath counters —
 // wait latency, scheduler poll behaviour, retransmits. Components keep their existing plain
 // `Stats` structs on the hot path (a plain increment, zero new cost) and *register* them here
-// as callback gauges sampled only at snapshot time; metrics that no component owned before
-// (wait latency histograms, registry-owned counters) are allocated by the registry itself.
+// as counters or gauges with a sampling function read only at snapshot time; metrics that no
+// component owned before (wait latency histograms, registry-owned counters) are allocated by
+// the registry itself.
 // Counters and gauges are lock-free (relaxed atomics) so a snapshot taken from another thread
 // never blocks the datapath.
 //
@@ -27,7 +28,16 @@
 
 namespace demi {
 
-enum class MetricType : uint8_t { kCounter, kGauge, kCallback, kHistogram };
+enum class MetricType : uint8_t { kCounter, kGauge, kHistogram };
+
+// How MetricsRegistry::Rollup combines one metric across registries (one per shard). Every
+// kind defaults to kSum: counters and gauges add, histograms merge bucket by bucket.
+enum class RollupRule : uint8_t {
+  kSum,
+  kSame,  // per-shard identity or shared setting: kept only if every registry agrees
+  kMax,   // high-water mark
+  kOnce,  // one source that every registry samples (the fabric, a shared device)
+};
 
 const char* MetricTypeName(MetricType type);
 
@@ -89,19 +99,23 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  // Registration is idempotent per name: re-registering an existing name of the same type
-  // returns the existing instrument (callbacks are replaced). References stay valid for the
-  // registry's lifetime. Not for the hot path — register at construction time.
+  // Reads a component's own `Stats` field at snapshot time: how pre-existing structs are
+  // retrofitted without touching their increment sites.
+  using Sampler = std::function<int64_t()>;
+
+  // Registration is idempotent per name: re-registering an existing name of the same kind and
+  // rollup returns the existing instrument (a sampler is replaced). References stay valid for
+  // the registry's lifetime. Not for the hot path — register at construction time.
   Counter& RegisterCounter(std::string name, std::string component, std::string unit,
-                           std::string help);
+                           std::string help, RollupRule rollup = RollupRule::kSum);
+  void RegisterCounter(std::string name, std::string component, std::string unit,
+                       std::string help, Sampler sample, RollupRule rollup = RollupRule::kSum);
   Gauge& RegisterGauge(std::string name, std::string component, std::string unit,
-                       std::string help);
+                       std::string help, RollupRule rollup = RollupRule::kSum);
+  void RegisterGauge(std::string name, std::string component, std::string unit,
+                     std::string help, Sampler sample, RollupRule rollup = RollupRule::kSum);
   Histogram& RegisterHistogram(std::string name, std::string component, std::string unit,
                                std::string help);
-  // Samples `fn()` at snapshot time: how pre-existing component `Stats` structs are retrofitted
-  // without touching their increment sites.
-  void RegisterCallback(std::string name, std::string component, std::string unit,
-                        std::string help, std::function<uint64_t()> fn);
 
   // Drops a metric (component being torn down before the registry). Returns false if absent.
   bool Unregister(std::string_view name);
@@ -112,13 +126,19 @@ class MetricsRegistry {
   size_t NumMetrics() const { return entries_.size(); }
   size_t NumComponents() const;
 
-  // Samples every metric, sorted by (component, name).
-  std::vector<Sample> Snapshot() const;
+  // Samples every metric, sorted by (component, name): the rollup of this registry alone.
+  std::vector<Sample> Snapshot() const { return Rollup({this}); }
 
   // Aligned human-readable table (one line per metric).
-  std::string ExportText() const;
+  std::string ExportText() const { return FormatText(Snapshot()); }
   // {"metrics":[{"name":...,"component":...,"type":...,"unit":...,...}]}
   std::string ExportJson() const;
+
+  // One sample per name across `registries`, combined by each metric's rollup rule (the rule
+  // and kind of the first registry that has the name), sorted like Snapshot().
+  static std::vector<Sample> Rollup(const std::vector<const MetricsRegistry*>& registries);
+  // The ExportText table for any sample list (a Snapshot or a Rollup).
+  static std::string FormatText(const std::vector<Sample>& samples);
 
  private:
   struct Entry {
@@ -127,14 +147,15 @@ class MetricsRegistry {
     std::string unit;
     std::string help;
     MetricType type;
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
-    std::function<uint64_t()> callback;
+    RollupRule rollup;
+    std::unique_ptr<Counter> counter = nullptr;
+    std::unique_ptr<Gauge> gauge = nullptr;
+    std::unique_ptr<Histogram> histogram = nullptr;
+    Sampler sample = nullptr;  // every counter and gauge: reads its value (histograms: unset)
   };
 
   Entry& Intern(std::string name, std::string component, std::string unit, std::string help,
-                MetricType type);
+                MetricType type, RollupRule rollup);
 
   std::vector<std::unique_ptr<Entry>> entries_;
   std::unordered_map<std::string, size_t> index_;  // name -> entries_ slot

@@ -184,7 +184,7 @@ TEST(AffinityTest, ShardedEchoRunsCleanUnderAffinityTags) {
     }
 #if defined(DEMI_OWNERSHIP_CHECKS)
     if (s.name == "demisan.enabled") {
-      EXPECT_EQ(s.value, 2);  // gauge value 1 per shard, summed across 2 shards
+      EXPECT_EQ(s.value, 1);  // a build-wide setting: the same 1 on both shards, not summed
     }
 #endif
   }

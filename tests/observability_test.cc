@@ -1,6 +1,7 @@
 // Tests for src/observability: metrics registry semantics, histogram percentile math,
 // tracer ring wraparound, and the disabled-tracer zero-allocation guarantee.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -52,8 +53,8 @@ TEST(MetricsRegistry, RegisterAndSnapshot) {
   Counter& c = reg.RegisterCounter("tcp.segments_rx", "tcp", "segments", "received segments");
   Gauge& g = reg.RegisterGauge("sched.runnable", "sched", "fibers", "runnable fibers");
   uint64_t sampled = 7;
-  reg.RegisterCallback("eth.ipv4_rx", "eth", "packets", "ipv4 packets received",
-                       [&] { return sampled; });
+  reg.RegisterCounter("eth.ipv4_rx", "eth", "packets", "ipv4 packets received",
+                      [&] { return sampled; });
 
   c.Inc();
   c.Inc(41);
@@ -76,7 +77,7 @@ TEST(MetricsRegistry, RegisterAndSnapshot) {
   EXPECT_EQ(samples[2].type, MetricType::kCounter);
   EXPECT_EQ(samples[2].unit, "segments");
 
-  // The callback is sampled at snapshot time, not registration time.
+  // The sampler is read at snapshot time, not registration time.
   sampled = 100;
   EXPECT_EQ(reg.Snapshot()[0].value, 100);
 }
@@ -161,6 +162,96 @@ TEST(MetricsRegistry, HistogramPercentilesMatchCommonHistogram) {
   EXPECT_NEAR(static_cast<double>(s.p999), 9990.0, 9990.0 * 0.02);
   EXPECT_EQ(s.min, 1u);
   EXPECT_EQ(s.max, 10000u);
+}
+
+// --- Rollup across registries (one per shard) ---
+
+const MetricsRegistry::Sample* FindSample(const std::vector<MetricsRegistry::Sample>& samples,
+                                          const std::string& name) {
+  for (const auto& s : samples) {
+    if (s.name == name) {
+      return &s;
+    }
+  }
+  return nullptr;
+}
+
+// Two shards with disjoint latency distributions: the rollup's quantiles are those of one
+// histogram holding both shards' samples, not any single shard's.
+TEST(MetricsRollup, HistogramsMergeExactly) {
+  MetricsRegistry fast;
+  MetricsRegistry slow;
+  Histogram& fast_h = fast.RegisterHistogram("core.wait_ns", "core", "ns", "wait latency");
+  Histogram& slow_h = slow.RegisterHistogram("core.wait_ns", "core", "ns", "wait latency");
+  Histogram merged;
+  for (uint64_t i = 1; i <= 1000; i++) {
+    fast_h.Record(i);
+    merged.Record(i);
+  }
+  for (uint64_t i = 1; i <= 500; i++) {
+    slow_h.Record(i * 10000);
+    merged.Record(i * 10000);
+  }
+
+  const auto rollup = MetricsRegistry::Rollup({&fast, &slow});
+  const MetricsRegistry::Sample* s = FindSample(rollup, "core.wait_ns");
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->type, MetricType::kHistogram);
+  EXPECT_EQ(s->count, 1500u);
+  EXPECT_DOUBLE_EQ(s->mean, merged.Mean());
+  EXPECT_EQ(s->min, merged.min());
+  EXPECT_EQ(s->max, merged.max());
+  EXPECT_EQ(s->p50, merged.P50());
+  EXPECT_EQ(s->p99, merged.P99());
+  EXPECT_EQ(s->p999, merged.P999());
+  for (const Histogram* shard : {&fast_h, &slow_h}) {
+    EXPECT_NE(s->p50, shard->P50());
+    EXPECT_NE(s->p99, shard->P99());
+  }
+}
+
+// kSame keeps a value only when every shard reports it; kSum (the default) adds.
+TEST(MetricsRollup, SameRuleKeepsOnlyAgreedValues) {
+  MetricsRegistry a;
+  MetricsRegistry b;
+  a.RegisterGauge("shard.id", "shard", "index", "shard index", RollupRule::kSame).Set(0);
+  b.RegisterGauge("shard.id", "shard", "index", "shard index", RollupRule::kSame).Set(1);
+  a.RegisterGauge("shard.workers", "shard", "count", "workers", RollupRule::kSame).Set(2);
+  b.RegisterGauge("shard.workers", "shard", "count", "workers", RollupRule::kSame).Set(2);
+  a.RegisterGauge("sched.runnable", "sched", "fibers", "runnable").Set(3);
+  b.RegisterGauge("sched.runnable", "sched", "fibers", "runnable").Set(4);
+
+  const auto rollup = MetricsRegistry::Rollup({&a, &b});
+  EXPECT_EQ(FindSample(rollup, "shard.id"), nullptr);
+  ASSERT_NE(FindSample(rollup, "shard.workers"), nullptr);
+  EXPECT_EQ(FindSample(rollup, "shard.workers")->value, 2);
+  EXPECT_EQ(std::count_if(rollup.begin(), rollup.end(),
+                          [](const auto& s) { return s.name == "shard.workers"; }),
+            1);
+  ASSERT_NE(FindSample(rollup, "sched.runnable"), nullptr);
+  EXPECT_EQ(FindSample(rollup, "sched.runnable")->value, 7);
+}
+
+// kMax keeps the high-water mark; kOnce counts a source every shard shares from one shard.
+TEST(MetricsRollup, MaxAndOnceRules) {
+  MetricsRegistry a;
+  MetricsRegistry b;
+  MetricsRegistry c;
+  int64_t epochs[3] = {7, 9, 8};
+  uint64_t fabric_contention = 5;
+  MetricsRegistry* regs[3] = {&a, &b, &c};
+  for (size_t i = 0; i < 3; i++) {
+    regs[i]->RegisterGauge("log.epoch", "log", "count", "latest epoch",
+                           [&epochs, i] { return epochs[i]; }, RollupRule::kMax);
+    regs[i]->RegisterCounter("net.port_lock_contention", "net", "events", "fabric contention",
+                             [&] { return fabric_contention; }, RollupRule::kOnce);
+  }
+
+  const auto rollup = MetricsRegistry::Rollup({&a, &b, &c});
+  ASSERT_NE(FindSample(rollup, "log.epoch"), nullptr);
+  EXPECT_EQ(FindSample(rollup, "log.epoch")->value, 9);
+  ASSERT_NE(FindSample(rollup, "net.port_lock_contention"), nullptr);
+  EXPECT_EQ(FindSample(rollup, "net.port_lock_contention")->value, 5);
 }
 
 // --- Tracer ---
@@ -276,6 +367,26 @@ TEST(LibOSObservability, CatnipRegistersMetricsAcrossComponents) {
                            "eth.ipv4_rx", "udp.rx_datagrams", "tcp.retransmits"}) {
     EXPECT_TRUE(os.metrics().Has(name)) << name;
   }
+}
+
+// Levels that Catnip samples from its components export as gauges.
+TEST(LibOSObservability, CatnipLevelsAreGauges) {
+  MonotonicClock clock;
+  SimNetwork net(LinkConfig{}, 1);
+  Catnip::Config cfg{MacAddr{0xA1}, Ipv4Addr::FromOctets(10, 0, 0, 1), TcpConfig{}, nullptr};
+  Catnip os(net, cfg, clock);
+
+  const auto samples = os.metrics().Snapshot();
+  for (const char* name : {"timerwheel.armed", "sched.live_fibers", "tcp.connections",
+                           "nic.tx_sched_backlog", "heap.live_objects"}) {
+    const MetricsRegistry::Sample* s = FindSample(samples, name);
+    ASSERT_NE(s, nullptr) << name;
+    EXPECT_EQ(s->type, MetricType::kGauge) << name;
+  }
+  EXPECT_EQ(FindSample(samples, "tcp.segments_rx")->type, MetricType::kCounter);
+  EXPECT_NE(os.metrics().ExportJson().find(
+                "\"name\":\"timerwheel.armed\",\"component\":\"timerwheel\",\"type\":\"gauge\""),
+            std::string::npos);
 }
 
 TEST(LibOSObservability, SchedulerTraceFlowsThroughLibOSTracer) {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <string>
@@ -404,6 +405,42 @@ TEST(ShardGroupTest, MultiWorkerStoragePartitionedAppends) {
   }
   EXPECT_EQ(next_record[0], kRecordsPerShard);
   EXPECT_EQ(next_record[1], kRecordsPerShard);
+
+  // Every shard registers the one device and stamps epochs from one counter: the rollup counts
+  // the device once, keeps the latest epoch, drops the per-shard partition id, and renders the
+  // merged histograms with the same formatter as each shard.
+  int64_t shard_epoch_max = 0;
+  for (size_t i = 0; i < 2; i++) {
+    for (const auto& s : group.shard(i).metrics().Snapshot()) {
+      if (s.name == "log.epoch") {
+        shard_epoch_max = std::max(shard_epoch_max, s.value);
+      }
+    }
+  }
+  bool found_writes = false;
+  bool found_epoch = false;
+  for (const auto& s : group.AggregateSnapshot()) {
+    EXPECT_NE(s.name, "log.partition_id");
+    if (s.name == "blockdev.writes") {
+      found_writes = true;
+      EXPECT_EQ(static_cast<uint64_t>(s.value), disk.GetStats().writes);
+    }
+    if (s.name == "log.epoch") {
+      found_epoch = true;
+      EXPECT_EQ(s.value, shard_epoch_max);
+    }
+  }
+  EXPECT_TRUE(found_writes);
+  EXPECT_TRUE(found_epoch);
+
+  const std::string text = group.ExportMetricsText();
+  const size_t rollup_at = text.find("# shard=all (rollup)");
+  ASSERT_NE(rollup_at, std::string::npos);
+  const size_t wait_at = text.find("\ncore.wait_ns ", rollup_at);
+  ASSERT_NE(wait_at, std::string::npos);
+  const std::string wait_line =
+      text.substr(wait_at + 1, text.find('\n', wait_at + 1) - wait_at - 1);
+  EXPECT_NE(wait_line.find("histogram  count="), std::string::npos) << wait_line;
 }
 
 // Restart byte-exactness: a second group over the same device recovers every partition's tail

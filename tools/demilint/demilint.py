@@ -31,7 +31,9 @@ invariants the compiler cannot see:
   nodiscard-status   every Status-returning declaration in a src/ header carries
                      [[nodiscard]]; Result<T> must be class-level [[nodiscard]].
   metric-name-drift  the set of metric names registered in src/ equals the set documented
-                     in docs/OBSERVABILITY.md (both directions).
+                     in docs/OBSERVABILITY.md (both directions), and each row's type column
+                     is the kind its registration declares (RegisterCounter -> counter,
+                     RegisterGauge -> gauge, RegisterHistogram -> histogram).
   trace-name-drift   trace event names in src/observability/trace.cc equal the documented
                      tracer event schema.
   header-guard       src/**/*.h guards follow SRC_PATH_TO_FILE_H_.
@@ -39,6 +41,10 @@ invariants the compiler cannot see:
   md-link            every intra-repo markdown link in a *.md file resolves to an existing
                      file or directory (http(s)/mailto links and bare #anchors are skipped;
                      build trees and the selftest fixtures are not scanned).
+  doc-path           every backticked repo path in a *.md file (a token whose first segment
+                     is a top-level repo directory; `:line` suffixes dropped, one `{a,b}`
+                     group expanded) exists. Same files as md-link except CHANGES.md and
+                     ROADMAP.md, which name deleted and planned files on purpose.
 
 Region and suppression directives (in source comments):
 
@@ -125,14 +131,14 @@ RE_MEMORY_ORDER = re.compile(r"std::memory_order_(?:relaxed|consume|acquire|rele
 # nodiscard-status: a Status-returning declaration/definition line in a header.
 RE_STATUS_DECL = re.compile(r"^\s*(?:virtual\s+|static\s+|inline\s+|constexpr\s+)*Status\s+\w+\s*\(")
 
-RE_METRIC_REG = re.compile(
-    r"Register(?:Counter|Gauge|Histogram|Callback)\s*\(\s*\"([a-z0-9_.]+)\"", re.S
-)
+RE_METRIC_REG = re.compile(r"Register(Counter|Gauge|Histogram)\s*\(\s*\"([a-z0-9_.]+)\"", re.S)
 RE_TRACE_NAME = re.compile(r"return\s+\"([a-z0-9_]+)\"\s*;")
-RE_DOC_METRIC = re.compile(r"^\| `([a-z0-9_]+\.[a-z0-9_]+)`", re.M)
+RE_DOC_METRIC = re.compile(r"^\| `([a-z0-9_]+\.[a-z0-9_]+)` \| ([a-z]+) \|", re.M)
 RE_DOC_TRACE = re.compile(r"^\| `([a-z0-9_]+)` \|", re.M)
 RE_INCLUDE_Q = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 RE_MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+RE_BACKTICK = re.compile(r"`([^`\s]+)`")
+RE_BRACE = re.compile(r"\{([^{}]*)\}")
 
 # Directories whose files are the shared-nothing datapath: mutable static state here is a
 # cross-shard race by construction. `src/fixtures/` is the selftest namespace — fixture
@@ -382,9 +388,37 @@ def lint_file(path, rel, text, shard_local_names=None):
     return diags
 
 
-def lint_repo_consistency(root):
-    """Cross-file rules: metric and trace-event name drift between src/ and the docs."""
+def lint_metric_drift(doc_rel, doc, sources):
+    """metric-name-drift: the metric rows of `doc` against the registrations in `sources`
+    ((rel, text) pairs) — same names in both directions, and the same kind."""
     diags = []
+    doc_metrics = {}
+    for m in RE_DOC_METRIC.finditer(doc):
+        doc_metrics.setdefault(m.group(1), (m.group(2), doc[: m.start()].count("\n") + 1))
+    code_metrics = {}
+    for rel, text in sources:
+        for m in RE_METRIC_REG.finditer(text):
+            code_metrics.setdefault(
+                m.group(2), (m.group(1).lower(), rel, text[: m.start()].count("\n") + 1))
+
+    for name in sorted(set(code_metrics) - set(doc_metrics)):
+        _, rel, line = code_metrics[name]
+        diags.append(Diagnostic(rel, line, "metric-name-drift",
+                                f"metric `{name}` registered but not documented in {doc_rel}"))
+    for name in sorted(set(doc_metrics) - set(code_metrics)):
+        diags.append(Diagnostic(doc_rel, doc_metrics[name][1], "metric-name-drift",
+                                f"metric `{name}` documented but never registered"))
+    for name in sorted(set(doc_metrics) & set(code_metrics)):
+        (doc_kind, doc_line), (kind, rel, line) = doc_metrics[name], code_metrics[name]
+        if doc_kind != kind:
+            diags.append(Diagnostic(doc_rel, doc_line, "metric-name-drift",
+                                    f"metric `{name}` documented as {doc_kind} but registered "
+                                    f"as {kind} ({rel}:{line})"))
+    return diags
+
+
+def lint_repo_consistency(root):
+    """Cross-file rules: metric and trace-event drift between src/ and the docs."""
     doc_path = os.path.join(root, "docs", "OBSERVABILITY.md")
     try:
         with open(doc_path, encoding="utf-8") as f:
@@ -393,23 +427,10 @@ def lint_repo_consistency(root):
         return [Diagnostic("docs/OBSERVABILITY.md", 1, "metric-name-drift",
                            "docs/OBSERVABILITY.md is missing")]
 
-    doc_metrics = set(RE_DOC_METRIC.findall(doc))
+    diags = lint_metric_drift("docs/OBSERVABILITY.md", doc,
+                              [(rel, text) for _, rel, text in iter_sources(root)])
     # Trace names: first backticked cell of schema rows, dotless (metric rows all have dots).
     doc_traces = {n for n in RE_DOC_TRACE.findall(doc) if "." not in n}
-
-    code_metrics = {}
-    for path, rel, text in iter_sources(root):
-        for m in RE_METRIC_REG.finditer(text):
-            code_metrics.setdefault(m.group(1), (rel, text[: m.start()].count("\n") + 1))
-
-    for name in sorted(set(code_metrics) - doc_metrics):
-        rel, line = code_metrics[name]
-        diags.append(Diagnostic(rel, line, "metric-name-drift",
-                                f"metric `{name}` registered but not documented in "
-                                "docs/OBSERVABILITY.md"))
-    for name in sorted(doc_metrics - set(code_metrics)):
-        diags.append(Diagnostic("docs/OBSERVABILITY.md", 1, "metric-name-drift",
-                                f"metric `{name}` documented but never registered in src/"))
 
     trace_cc = os.path.join(root, "src", "observability", "trace.cc")
     try:
@@ -459,6 +480,28 @@ def lint_markdown(path, rel, text, root):
     return diags
 
 
+def lint_doc_paths(rel, text, root):
+    """doc-path: each backticked token whose first segment is a top-level directory of `root`
+    must exist under `root`. Commands (whitespace), globs and placeholders are not paths."""
+    tops = {d for d in os.listdir(root)
+            if os.path.isdir(os.path.join(root, d)) and not d.startswith(".")
+            and d != "build" and not d.startswith("build-")}
+    diags = []
+    for idx, line in enumerate(text.splitlines(), start=1):
+        for m in RE_BACKTICK.finditer(line):
+            token = m.group(1).split(":", 1)[0]
+            if token.split("/", 1)[0] not in tops or "/" not in token or re.search(r"[*<>]", token):
+                continue
+            brace = RE_BRACE.search(token)
+            paths = ([token[:brace.start()] + alt + token[brace.end():]
+                      for alt in brace.group(1).split(",")] if brace else [token])
+            missing = [p for p in paths if not os.path.exists(os.path.join(root, p))]
+            if missing:
+                diags.append(Diagnostic(rel, idx, "doc-path",
+                                        f"backticked path does not exist: {', '.join(missing)}"))
+    return diags
+
+
 def iter_markdown(root):
     """Every *.md in the repo except build trees, .git and the selftest fixtures."""
     for dirpath, dirnames, files in os.walk(root):
@@ -499,13 +542,15 @@ def run_lint(root):
     md_files = list(iter_markdown(root))
     for path, rel, text in md_files:
         diags.extend(lint_markdown(path, rel, text, root))
+        if rel not in ("CHANGES.md", "ROADMAP.md"):
+            diags.extend(lint_doc_paths(rel, text, root))
     for d in diags:
         print(d)
     if diags:
         print(f"demilint: FAILED ({len(diags)} violation(s))")
         return 1
     print(f"demilint: OK ({len(shard_local_names)} shard-local identifiers guarded, "
-          f"{len(md_files)} markdown files link-checked)")
+          f"{len(md_files)} markdown files link- and path-checked)")
     return 0
 
 
@@ -514,6 +559,13 @@ def run_selftest():
     exactly those (file, line, rule) triples — a miss means a rule regressed, an extra
     means a rule got trigger-happy."""
     fixtures = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+    repo_root = os.path.dirname(os.path.dirname(os.path.dirname(fixtures)))
+    # The fixture OBSERVABILITY.md is checked against the registrations in the code fixtures.
+    code_fixtures = []
+    for name in sorted(os.listdir(fixtures)):
+        if name.endswith((".h", ".cc")):
+            with open(os.path.join(fixtures, name), encoding="utf-8") as f:
+                code_fixtures.append((f"src/fixtures/{name}", f.read()))
     failed = False
     seen_any = False
     for name in sorted(os.listdir(fixtures)):
@@ -532,12 +584,15 @@ def run_selftest():
                 expected.add((idx, m.group(1)))
         if name.endswith(".md"):
             diags = lint_markdown(path, rel, text, fixtures)
-            if len(diags) != len({(d.line, d.rule) for d in diags}):
-                print(f"selftest EXTRA: {name}: a broken link was reported more than once")
-                failed = True
+            diags += lint_doc_paths(rel, text, repo_root)
+            if name == "OBSERVABILITY.md":
+                diags += lint_metric_drift(rel, text, code_fixtures)
         else:
             diags = lint_file(path, rel, text)
         got = {(d.line, d.rule) for d in diags}
+        if name.endswith(".md") and len(diags) != len(got):
+            print(f"selftest EXTRA: {name}: a violation was reported more than once")
+            failed = True
         for miss in sorted(expected - got):
             print(f"selftest MISS: {name}:{miss[0]} expected [{miss[1]}] not reported")
             failed = True
@@ -545,16 +600,8 @@ def run_selftest():
             print(f"selftest EXTRA: {name}:{extra[0]} unexpected [{extra[1]}]")
             failed = True
 
-    # Drift rules, exercised against an embedded miniature repo state.
+    # Trace-name drift, exercised against an embedded miniature schema.
     doc = "| `tcp.good` | counter |\n| `packet_tx` | a | b | c |\n"
-    code_names = set(RE_METRIC_REG.findall('RegisterCounter(\n    "tcp.good", x); '
-                                           'RegisterCallback("tcp.rogue", y)'))
-    if code_names != {"tcp.good", "tcp.rogue"}:
-        print("selftest MISS: metric regex must span newlines and find both names")
-        failed = True
-    if set(RE_DOC_METRIC.findall(doc)) != {"tcp.good"}:
-        print("selftest MISS: doc metric parsing")
-        failed = True
     if {n for n in RE_DOC_TRACE.findall(doc) if "." not in n} != {"packet_tx"}:
         print("selftest MISS: doc trace parsing")
         failed = True
