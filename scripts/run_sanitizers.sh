@@ -7,8 +7,9 @@
 # -DDEMI_SANITIZE=<name>; the chaos soak is shortened via DEMI_CHAOS_SEEDS so a full
 # sanitized sweep stays CI-friendly. The simulation itself is single-threaded by design, so
 # ThreadSanitizer runs a targeted job (build-tsan/) over just the tests that actually spawn
-# threads — the apps_test client/server echo pairs and the multi-worker ShardGroup suite
-# (real shard threads busy-polling a shared multi-queue NIC) — instead of the whole suite.
+# threads — the apps_test client/server echo pairs, the multi-worker ShardGroup suite
+# (real shard threads busy-polling a shared multi-queue NIC) and affinity_test's live metric
+# scrape of running shards — instead of the whole suite.
 # A final targeted DemiSan tree (build-demisan/, -DDEMI_OWNERSHIP_CHECKS=ON) runs the
 # cross-tenant ownership death tests that skip themselves in every other build.
 
@@ -32,7 +33,8 @@ done
 echo "=== DEMI_SANITIZE=thread (targeted: threaded apps_test echo pairs + ShardGroup) ==="
 bdir="$ROOT/build-tsan"
 cmake -B "$bdir" -S "$ROOT" -DDEMI_SANITIZE=thread > /dev/null
-cmake --build "$bdir" -j "$JOBS" --target apps_test shard_test timer_wheel_test > /dev/null
+cmake --build "$bdir" -j "$JOBS" --target apps_test shard_test timer_wheel_test affinity_test \
+  splice_chaos_test tenant_chaos_test > /dev/null
 "$bdir/tests/apps_test" --gtest_filter='*Threaded*'
 # The 2-worker shard runs: every cross-core seam (per-queue delivery locks, SPSC descriptor
 # rings, shared fabric stats) executes under TSan here. This filter includes the sharded
@@ -43,6 +45,10 @@ cmake --build "$bdir" -j "$JOBS" --target apps_test shard_test timer_wheel_test 
 # appending to one device whose only cross-core word is the shared allocation epoch —
 # docs/STORAGE.md).
 "$bdir/tests/shard_test" --gtest_filter='ShardGroup*'
+# A metrics scrape while the shard workers run (ShardGroup::ExportMetricsText parks every
+# ServeLoop worker while it reads their registries): the samplers read plain Stats fields the
+# workers write, so any read outside the park handshake is a data race reported here.
+"$bdir/tests/affinity_test"
 # The timer wheel is shard-local by design (one wheel per scheduler, no locks). Running its
 # suite under TSan documents and enforces that contract: any future cross-thread sharing of
 # a wheel must surface here, not as corruption in a shard soak.

@@ -165,35 +165,13 @@ size_t LibOS::DrainPendingTokens() {
   });
 }
 
-Result<QResult> LibOS::Wait(QToken qt, DurationNs timeout) {
-  // demilint: fastpath
-  if (!tokens_.IsValid(qt)) {
-    return Status::kBadQToken;
-  }
-  wait_calls_->Inc();
-  const TimeNs start = clock_.Now();
-  const TimeNs deadline = timeout == 0 ? 0 : start + timeout;
-  for (;;) {
-    if (tokens_.IsDone(qt)) {
-      auto r = tokens_.Take(qt);
-      wait_ns_->Record(clock_.Now() - start);
-      if (r.ok()) {
-        tracer_.Record(TraceEventType::kQTokenRedeemed, static_cast<uint32_t>(r->qd), qt);
-      }
-      return r;
-    }
-    sched_.Poll();
-    RunExternalPump();
-    wait_poll_rounds_->Inc();
-    if (deadline != 0 && clock_.Now() >= deadline && !tokens_.IsDone(qt)) {
-      return Status::kTimedOut;
-    }
-  }
-  // demilint: end-fastpath
-}
-
-Result<QResult> LibOS::WaitAny(std::span<const QToken> qts, size_t* index_out,
-                               DurationNs timeout) {
+// Checks for a completed token before the first poll and once more after the poll that
+// crosses the deadline, so a token that completes in that final round is claimed, not timed
+// out. Several tokens are scanned from a rotating start; a single-token wait leaves the
+// rotation alone.
+template <typename OnClaim>
+Result<size_t> LibOS::WaitLoop(std::span<const QToken> qts, DurationNs timeout, bool claim_all,
+                               OnClaim&& on_claim) {
   // demilint: fastpath
   for (QToken qt : qts) {
     if (!tokens_.IsValid(qt)) {
@@ -203,83 +181,70 @@ Result<QResult> LibOS::WaitAny(std::span<const QToken> qts, size_t* index_out,
   wait_calls_->Inc();
   const TimeNs start = clock_.Now();
   const TimeNs deadline = timeout == 0 ? 0 : start + timeout;
-  // Fairness: rotate where the scan starts so that when several tokens are done at once, a
-  // perpetually-busy low index cannot starve the others across repeated WaitAny calls.
-  const size_t rot = qts.empty() ? 0 : wait_any_rr_++ % qts.size();
-  for (;;) {
-    for (size_t k = 0; k < qts.size(); k++) {
-      const size_t i = (rot + k) % qts.size();
-      if (tokens_.IsDone(qts[i])) {
-        if (index_out != nullptr) {
-          *index_out = i;
-        }
-        auto r = tokens_.Take(qts[i]);
-        wait_ns_->Record(clock_.Now() - start);
-        if (r.ok()) {
-          tracer_.Record(TraceEventType::kQTokenRedeemed, static_cast<uint32_t>(r->qd), qts[i]);
-        }
-        return r;
+  const size_t n = qts.size();
+  const size_t rot = n > 1 ? wait_any_rr_++ % n : 0;
+  for (bool last_round = false;;) {
+    size_t claimed = 0;
+    for (size_t k = 0; k < n && (claim_all || claimed == 0); k++) {
+      const size_t i = rot + k < n ? rot + k : rot + k - n;
+      if (!tokens_.IsDone(qts[i])) {
+        continue;
       }
+      auto r = tokens_.Take(qts[i]);
+      DEMI_DCHECK(r.ok());  // a done token always redeems
+      tracer_.Record(TraceEventType::kQTokenRedeemed, static_cast<uint32_t>(r->qd), qts[i]);
+      on_claim(i, *r);
+      claimed++;
+    }
+    if (claimed > 0) {
+      wait_ns_->Record(clock_.Now() - start);
+      return claimed;
+    }
+    if (last_round) {
+      return Status::kTimedOut;
     }
     sched_.Poll();
     RunExternalPump();
     wait_poll_rounds_->Inc();
-    if (deadline != 0 && clock_.Now() >= deadline) {
-      for (size_t k = 0; k < qts.size(); k++) {
-        const size_t i = (rot + k) % qts.size();
-        if (tokens_.IsDone(qts[i])) {
-          if (index_out != nullptr) {
-            *index_out = i;
-          }
-          return tokens_.Take(qts[i]);
-        }
-      }
-      return Status::kTimedOut;
-    }
+    last_round = deadline != 0 && clock_.Now() >= deadline;
   }
   // demilint: end-fastpath
 }
 
-size_t LibOS::WaitAnyHarvest(std::span<const QToken> qts, std::vector<QResult>* events,
-                             std::vector<size_t>* indices, DurationNs timeout) {
-  // demilint: fastpath
-  wait_calls_->Inc();
-  const TimeNs start = clock_.Now();
-  const TimeNs deadline = timeout == 0 ? 0 : start + timeout;
-  // Harvest order rotates like WaitAny: callers that only consume a prefix of `events` would
-  // otherwise favor low indices forever.
-  const size_t rot = qts.empty() ? 0 : wait_any_rr_++ % qts.size();
-  for (;;) {
-    size_t harvested = 0;
-    for (size_t k = 0; k < qts.size(); k++) {
-      const size_t i = (rot + k) % qts.size();
-      if (tokens_.IsDone(qts[i])) {
-        auto r = tokens_.Take(qts[i]);
-        if (r.ok()) {
-          tracer_.Record(TraceEventType::kQTokenRedeemed, static_cast<uint32_t>(r->qd), qts[i]);
-          if (events != nullptr) {
-            // demilint: allow(fastpath-alloc) caller-owned vector, bounded by qts.size()
-            events->push_back(*r);
-          }
-          if (indices != nullptr) {
-            // demilint: allow(fastpath-alloc) caller-owned vector, bounded by qts.size()
-            indices->push_back(i);
-          }
-          harvested++;
-        }
-      }
+Result<QResult> LibOS::WaitAny(std::span<const QToken> qts, size_t* index_out,
+                               DurationNs timeout) {
+  QResult result;
+  const auto take = [&](size_t i, const QResult& r) {
+    if (index_out != nullptr) {
+      *index_out = i;
     }
-    if (harvested > 0) {
-      wait_ns_->Record(clock_.Now() - start);
-      return harvested;
-    }
-    sched_.Poll();
-    RunExternalPump();
-    wait_poll_rounds_->Inc();
-    if (deadline != 0 && clock_.Now() >= deadline) {
-      return 0;
-    }
+    result = r;
+  };
+  const Result<size_t> claimed = WaitLoop(qts, timeout, /*claim_all=*/false, take);
+  if (!claimed.ok()) {
+    return claimed.error();
   }
+  return result;
+}
+
+Result<size_t> LibOS::WaitAnyHarvest(std::span<const QToken> qts, std::vector<QResult>* events,
+                                     std::vector<size_t>* indices, DurationNs timeout) {
+  // demilint: fastpath
+  const auto harvest = [&](size_t i, const QResult& r) {
+    if (events != nullptr) {
+      // demilint: allow(fastpath-alloc) caller-owned vector, bounded by qts.size()
+      events->push_back(r);
+    }
+    if (indices != nullptr) {
+      // demilint: allow(fastpath-alloc) caller-owned vector, bounded by qts.size()
+      indices->push_back(i);
+    }
+  };
+  const Result<size_t> harvested = WaitLoop(qts, timeout, /*claim_all=*/true, harvest);
+  if (harvested.error() == Status::kTimedOut) {
+    return size_t{0};
+  }
+  return harvested;
   // demilint: end-fastpath
 }
 

@@ -73,7 +73,9 @@ class LibOS {
   // --- wait_*: PDPIX's epoll replacement (§4.2) ---
   // Blocks the calling thread, donating it to the libOS scheduler, until `qt` completes.
   // timeout 0 = wait forever.
-  Result<QResult> Wait(QToken qt, DurationNs timeout = 0);
+  Result<QResult> Wait(QToken qt, DurationNs timeout = 0) {
+    return WaitAny({&qt, 1}, nullptr, timeout);
+  }
   // Waits for any of `qts`; `index_out` receives the position that completed.
   Result<QResult> WaitAny(std::span<const QToken> qts, size_t* index_out,
                           DurationNs timeout = 0);
@@ -83,10 +85,10 @@ class LibOS {
 
   // The paper's full wait_any shape (Figure 2): blocks until at least one token completes,
   // then harvests EVERY completed token into `events` (with its index in `indices`). Returns
-  // the number harvested, or 0 on timeout. Batch harvesting lets servers drain a burst of
-  // completions in one call instead of one wakeup each.
-  size_t WaitAnyHarvest(std::span<const QToken> qts, std::vector<QResult>* events,
-                        std::vector<size_t>* indices, DurationNs timeout = 0);
+  // the number harvested, 0 on timeout, or kBadQToken if any token is stale. Batch harvesting
+  // lets servers drain a burst of completions in one call instead of one wakeup each.
+  Result<size_t> WaitAnyHarvest(std::span<const QToken> qts, std::vector<QResult>* events,
+                                std::vector<size_t>* indices, DurationNs timeout = 0);
 
   // Non-blocking check/claim.
   bool IsDone(QToken qt) const { return tokens_.IsDone(qt); }
@@ -208,12 +210,19 @@ class LibOS {
   // scheduler and qtoken table; concrete libOSes register their stacks on top.
   void InitObservability();
 
+  // The one poll-and-deadline loop behind every wait_*: claims the first completed token of
+  // `qts` (every one when `claim_all`), passing each to `on_claim(index, result)`, and returns
+  // how many it claimed.
+  template <typename OnClaim>
+  Result<size_t> WaitLoop(std::span<const QToken> qts, DurationNs timeout, bool claim_all,
+                          OnClaim&& on_claim);
+
   Counter* wait_calls_ = nullptr;
   Counter* wait_poll_rounds_ = nullptr;
   Histogram* wait_ns_ = nullptr;
   Gauge* numa_gauge_ = nullptr;  // pool.numa_node; set by BindShardAffinity
-  // Rotating scan start for WaitAny/WaitAnyHarvest: scanning from index 0 every call lets a
-  // busy low-index qtoken shadow completions on higher indices indefinitely.
+  // Rotating scan start for multi-token waits: scanning from index 0 every call lets a busy
+  // low-index qtoken shadow completions on higher indices indefinitely.
   size_t wait_any_rr_ = 0;
 };
 

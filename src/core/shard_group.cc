@@ -96,19 +96,37 @@ void ShardGroup::WorkerMain(size_t shard_id) {
 }
 
 void ShardGroup::ServeLoop(Catnip& os, const std::function<void()>& pump) {
+  ParkForScrape(+1);
   // demilint: fastpath
   // demilint: atomic(stop_ is a latch with no payload; relaxed keeps the poll loop free of
   // fences and the one-iteration observation lag is irrelevant to shutdown)
   while (!stop_.load(std::memory_order_relaxed)) {
+    // demilint: atomic(see scrape_requested_: the mutex in ParkForScrape is the sync point)
+    if (scrape_requested_.load(std::memory_order_relaxed)) {
+      ParkForScrape(0);
+    }
     os.PollOnce();
     pump();
   }
   // demilint: end-fastpath
+  ParkForScrape(-1);  // a scrape in progress still holds this shard: leave after it
+}
+
+void ShardGroup::ParkForScrape(int serving_delta) {
+  std::unique_lock<std::mutex> lock(scrape_mu_);
+  if (scraping_ && serving_delta <= 0) {
+    parked_++;
+    scrape_cv_.notify_all();
+    scrape_cv_.wait(lock, [this] { return !scraping_; });
+    parked_--;
+  }
+  serving_ += serving_delta;
 }
 // demilint: end-worker-context
 
-// Control plane again: Join/metric aggregation run on the spawning thread and only read
-// shard state once workers have quiesced (the thread join is the synchronization edge).
+// Control plane again: Join/metric aggregation run on the spawning thread and read shard
+// state only while its worker is parked in ServeLoop or has quiesced (scrape_mu_ or the
+// thread join is the synchronization edge).
 // demilint: control-plane
 void ShardGroup::Join() {
   for (std::thread& t : threads_) {
@@ -118,32 +136,54 @@ void ShardGroup::Join() {
   }
 }
 
-std::string ShardGroup::ExportMetricsText() const {
-  // Annotated control-domain exemption (docs/STATIC_ANALYSIS.md): scraping metrics reads
-  // shard-owned instruments from the spawning thread. Counters/gauges are relaxed atomics and
-  // sampled stats tolerate staleness, so this cross-domain read is deliberate.
-  [[maybe_unused]] AffinityExemptScope metrics_scrape;
-  std::ostringstream out;
-  for (size_t i = 0; i < shards_.size(); i++) {
-    out << "# shard=" << i << "\n";
-    if (shards_[i] != nullptr) {
-      out << shards_[i]->metrics().ExportText();
-    }
-  }
-  out << "# shard=all (rollup)\n" << MetricsRegistry::FormatText(AggregateSnapshot());
-  return out.str();
-}
-
-std::vector<MetricsRegistry::Sample> ShardGroup::AggregateSnapshot() const {
-  // Same control-domain exemption as ExportMetricsText: telemetry reads only.
-  [[maybe_unused]] AffinityExemptScope metrics_scrape;
+void ShardGroup::ReadShards(const RegistriesFn& read) const {
   std::vector<const MetricsRegistry*> registries;
   for (const auto& shard : shards_) {
     if (shard != nullptr) {
       registries.push_back(&shard->metrics());
     }
   }
-  return MetricsRegistry::Rollup(registries);
+  std::unique_lock<std::mutex> lock(scrape_mu_);
+  scrape_cv_.wait(lock, [this] { return !scraping_; });
+  scraping_ = true;
+  // demilint: atomic(see scrape_requested_; set and cleared under scrape_mu_)
+  scrape_requested_.store(true, std::memory_order_relaxed);
+  scrape_cv_.wait(lock, [this] { return parked_ == serving_; });
+  {
+    // Annotated control-domain exemption (docs/STATIC_ANALYSIS.md): the read touches
+    // shard-owned registries from the spawning thread while their workers are parked.
+    [[maybe_unused]] AffinityExemptScope metrics_scrape;
+    read(registries);
+  }
+  scraping_ = false;
+  // demilint: atomic(see scrape_requested_; set and cleared under scrape_mu_)
+  scrape_requested_.store(false, std::memory_order_relaxed);
+  scrape_cv_.notify_all();
+}
+
+std::string ShardGroup::ExportMetricsText() const {
+  std::vector<std::vector<MetricsRegistry::Sample>> views;  // each shard's, then the rollup
+  ReadShards([&views](const std::vector<const MetricsRegistry*>& registries) {
+    for (const MetricsRegistry* registry : registries) {
+      views.push_back(registry->Snapshot());
+    }
+    views.push_back(MetricsRegistry::Rollup(registries));
+  });
+  // Formatting runs after the workers resume.
+  std::ostringstream out;
+  for (size_t i = 0; i + 1 < views.size(); i++) {
+    out << "# shard=" << i << "\n" << MetricsRegistry::FormatText(views[i]);
+  }
+  out << "# shard=all (rollup)\n" << MetricsRegistry::FormatText(views.back());
+  return out.str();
+}
+
+std::vector<MetricsRegistry::Sample> ShardGroup::AggregateSnapshot() const {
+  std::vector<MetricsRegistry::Sample> rollup;
+  ReadShards([&rollup](const std::vector<const MetricsRegistry*>& registries) {
+    rollup = MetricsRegistry::Rollup(registries);
+  });
+  return rollup;
 }
 // demilint: end-control-plane
 

@@ -15,8 +15,10 @@
 // and runs ServeLoop(); see StartShardedEchoServer (src/apps/echo.h) for the ~10-line pattern.
 //
 // Threads busy-poll, so run ShardGroup on a MonotonicClock (a VirtualClock nobody advances
-// would spin forever). Metric aggregation (ExportMetricsText / AggregateSnapshot) is valid
-// once workers quiesce — after Join().
+// would spin forever). The metric views (ExportMetricsText / AggregateSnapshot) may be called
+// from the control thread while workers run: every worker inside ServeLoop parks at the top of
+// an iteration while the registries are read. A shard whose worker is not inside ServeLoop is
+// read directly, which is safe only once that worker has quiesced (after Join).
 
 #ifndef SRC_CORE_SHARD_GROUP_H_
 #define SRC_CORE_SHARD_GROUP_H_
@@ -75,7 +77,8 @@ class ShardGroup {
   void Join();
 
   // The standard worker body tail: busy-polls the shard's scheduler and runs the app's pump
-  // until RequestStop(). This is the shard datapath loop (demilint fastpath).
+  // until RequestStop(), parking between iterations while a live scrape reads the registries.
+  // This is the shard datapath loop (demilint fastpath).
   void ServeLoop(Catnip& os, const std::function<void()>& pump);
 
   size_t num_workers() const { return options_.num_workers; }
@@ -88,7 +91,7 @@ class ShardGroup {
   // tests can inspect partition geometry and perform stitched recovery checks.
   PartitionedLog* partitioned_log() { return plog_.get(); }
 
-  // --- Quiesced metric views (call after Join) ---
+  // --- Metric views (control thread; live while workers serve, or after Join) ---
 
   // Every shard's registry rendered with a `shard=<i>` label banner, followed by the rollup.
   std::string ExportMetricsText() const;
@@ -99,6 +102,13 @@ class ShardGroup {
 
  private:
   void WorkerMain(size_t shard_id);
+  // Worker side of a live scrape: parks while one is in progress, then moves the ServeLoop
+  // population by `serving_delta` (+1 entering, -1 leaving, 0 between iterations).
+  void ParkForScrape(int serving_delta);
+  // Control side: runs `read` over the shard registries with every ServeLoop worker parked,
+  // one scrape at a time.
+  using RegistriesFn = std::function<void(const std::vector<const MetricsRegistry*>&)>;
+  void ReadShards(const RegistriesFn& read) const;
 
   SimNetwork& network_;
   Clock& clock_;
@@ -116,6 +126,14 @@ class ShardGroup {
   std::mutex init_mu_;
   std::condition_variable init_cv_;
   size_t ready_ = 0;  // shards constructed; guarded by init_mu_
+  // demilint: atomic(a hint only: ServeLoop polls it relaxed once per iteration and then takes
+  // scrape_mu_, which orders every registry read against the worker's own writes)
+  mutable std::atomic<bool> scrape_requested_{false};
+  mutable std::mutex scrape_mu_;
+  mutable std::condition_variable scrape_cv_;
+  mutable bool scraping_ = false;  // a live scrape holds the shards; guarded by scrape_mu_
+  size_t serving_ = 0;             // workers inside ServeLoop; guarded by scrape_mu_
+  size_t parked_ = 0;              // of those, parked for the scrape; guarded by scrape_mu_
 };
 
 }  // namespace demi

@@ -197,8 +197,7 @@ void Catmint::HandleMessage(const RdmaCompletion& comp) {
   switch (hdr.type) {
     case kMsgConnect: {
       auto lit = listeners_.find(hdr.port);
-      if (lit == listeners_.end() || lit->second->closing ||
-          lit->second->pending.size() >= lit->second->backlog) {
+      if (lit == listeners_.end() || lit->second->pending.size() >= lit->second->backlog) {
         stats_.connects_rejected++;
         SendControl(kMsgReject, comp.src_mac, 0, hdr.src_conn, hdr.port, nullptr);
         break;
@@ -299,19 +298,6 @@ Task<void> Catmint::FastPathFiber() {
     if (storage_ != nullptr) {
       storage_->Poll();
     }
-    while (!deferred_close_.empty()) {
-      const QueueDesc qd = deferred_close_.front();
-      auto it = queues_.find(qd);
-      if (it == queues_.end()) {
-        deferred_close_.pop_front();
-        continue;
-      }
-      if (it->second.waiters_guard > 0) {
-        break;
-      }
-      deferred_close_.pop_front();
-      queues_.erase(it);
-    }
     co_await Scheduler::Yield{};
   }
 }
@@ -354,7 +340,7 @@ Result<QueueDesc> Catmint::Socket(SocketType type) {
 
 Status Catmint::Bind(QueueDesc qd, SocketAddress local) {
   QueueState* q = Find(qd);
-  if (q == nullptr || q->closing || q->kind != QKind::kUnbound) {
+  if (q == nullptr || q->kind != QKind::kUnbound) {
     return Status::kBadQueueDescriptor;
   }
   q->bound_port = local.port;
@@ -364,7 +350,7 @@ Status Catmint::Bind(QueueDesc qd, SocketAddress local) {
 
 Status Catmint::Listen(QueueDesc qd, int backlog) {
   QueueState* q = Find(qd);
-  if (q == nullptr || q->closing || q->kind != QKind::kUnbound || !q->has_bound) {
+  if (q == nullptr || q->kind != QKind::kUnbound || !q->has_bound) {
     return Status::kInvalidArgument;
   }
   if (listeners_.count(q->bound_port) > 0) {
@@ -389,7 +375,7 @@ QueueDesc Catmint::InstallConnQueue(std::shared_ptr<Connection> conn) {
 
 Result<QToken> Catmint::Accept(QueueDesc qd) {
   QueueState* q = Find(qd);
-  if (q == nullptr || q->closing || q->kind != QKind::kListener) {
+  if (q == nullptr || q->kind != QKind::kListener) {
     return Status::kBadQueueDescriptor;
   }
   const QToken qt = tokens_.Allocate(OpCode::kAccept, qd);
@@ -400,7 +386,7 @@ Result<QToken> Catmint::Accept(QueueDesc qd) {
 Task<void> Catmint::AcceptOp(QueueDesc qd, QToken qt) {
   for (;;) {
     QueueState* q = Find(qd);
-    if (q == nullptr || q->closing || q->kind != QKind::kListener) {
+    if (q == nullptr || q->kind != QKind::kListener) {
       QResult r;
       r.status = Status::kCancelled;
       CompleteToken(qt, r);
@@ -416,18 +402,14 @@ Task<void> Catmint::AcceptOp(QueueDesc qd, QToken qt) {
       CompleteToken(qt, r);
       co_return;
     }
-    q->waiters_guard++;
+    // Close wakes us and frees the listener: look the queue up again after every wake.
     co_await q->listener->acceptable.Wait();
-    QueueState* q2 = Find(qd);
-    if (q2 != nullptr) {
-      q2->waiters_guard--;
-    }
   }
 }
 
 Result<QToken> Catmint::Connect(QueueDesc qd, SocketAddress remote) {
   QueueState* q = Find(qd);
-  if (q == nullptr || q->closing || q->kind != QKind::kUnbound) {
+  if (q == nullptr || q->kind != QKind::kUnbound) {
     return Status::kBadQueueDescriptor;
   }
   auto dir = directory_.find(remote.ip.value);
@@ -457,16 +439,11 @@ Task<void> Catmint::ConnectOp(QToken qt, std::shared_ptr<Connection> conn) {
 
 Result<QToken> Catmint::Push(QueueDesc qd, const Sgarray& sga) {
   QueueState* q = Find(qd);
-  if (q == nullptr || q->closing) {
+  if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
   if (q->kind == QKind::kFile) {
-    if (storage_ == nullptr) {
-      return Status::kNotSupported;
-    }
-    const QToken qt = tokens_.Allocate(OpCode::kPush, qd);
-    sched_.Spawn(storage_->PushOp(qt, sga));
-    return qt;
+    return storage_->Push(qd, sga);
   }
   if (q->kind != QKind::kConn) {
     return Status::kNotConnected;
@@ -512,16 +489,11 @@ Result<QToken> Catmint::Push(QueueDesc qd, const Sgarray& sga) {
 
 Result<QToken> Catmint::Pop(QueueDesc qd) {
   QueueState* q = Find(qd);
-  if (q == nullptr || q->closing) {
+  if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
   if (q->kind == QKind::kFile) {
-    if (storage_ == nullptr) {
-      return Status::kNotSupported;
-    }
-    const QToken qt = tokens_.Allocate(OpCode::kPop, qd);
-    sched_.Spawn(storage_->PopOp(qt, &q->file_cursor));
-    return qt;
+    return storage_->Pop(qd);
   }
   if (q->kind != QKind::kConn) {
     return Status::kNotConnected;
@@ -574,38 +546,31 @@ Result<QueueDesc> Catmint::Open(std::string_view path) {
     return Status::kNotSupported;
   }
   const QueueDesc qd = next_qd_++;
-  QueueState q;
-  q.kind = QKind::kFile;
-  q.file_cursor = storage_->log().head();
-  queues_[qd] = std::move(q);
+  queues_[qd].kind = QKind::kFile;
+  storage_->Open(qd);
   return qd;
 }
 
 Status Catmint::Seek(QueueDesc qd, uint64_t offset) {
-  QueueState* q = Find(qd);
-  if (q == nullptr || q->closing || q->kind != QKind::kFile) {
-    return Status::kBadQueueDescriptor;
-  }
-  return storage_->Seek(&q->file_cursor, offset);
+  return storage_ != nullptr ? storage_->Seek(qd, offset) : Status::kBadQueueDescriptor;
 }
 
 Status Catmint::Truncate(QueueDesc qd, uint64_t offset) {
-  QueueState* q = Find(qd);
-  if (q == nullptr || q->closing || q->kind != QKind::kFile) {
-    return Status::kBadQueueDescriptor;
-  }
-  return storage_->Truncate(offset);
+  return storage_ != nullptr ? storage_->Truncate(qd, offset) : Status::kBadQueueDescriptor;
 }
 
+// Tears the queue down at once, as Catnip::Close does: a woken AcceptOp looks its queue up
+// again and completes with kCancelled, pops hold their Connection, and the engine cancels
+// in-flight file pops.
 Status Catmint::Close(QueueDesc qd) {
-  QueueState* q = Find(qd);
-  if (q == nullptr || q->closing) {
+  auto it = queues_.find(qd);
+  if (it == queues_.end()) {
     return Status::kBadQueueDescriptor;
   }
-  q->closing = true;
-  switch (q->kind) {
+  QueueState& q = it->second;
+  switch (q.kind) {
     case QKind::kConn: {
-      Connection& conn = *q->conn;
+      Connection& conn = *q.conn;
       if (conn.state == Connection::State::kEstablished) {
         SendControl(kMsgClose, conn.peer_mac, conn.id, conn.peer_conn, 0, nullptr);
       }
@@ -617,14 +582,16 @@ Status Catmint::Close(QueueDesc qd) {
       break;
     }
     case QKind::kListener:
-      listeners_.erase(q->listener->port);
-      q->listener->closing = true;
-      q->listener->acceptable.Notify();
+      listeners_.erase(q.listener->port);
+      q.listener->acceptable.Notify();
       break;
-    default:
+    case QKind::kFile:
+      (void)storage_->Close(qd);
+      break;
+    case QKind::kUnbound:
       break;
   }
-  deferred_close_.push_back(qd);
+  queues_.erase(it);
   return Status::kOk;
 }
 

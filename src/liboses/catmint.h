@@ -76,7 +76,6 @@ class Catmint final : public LibOS {
     size_t backlog = 64;
     std::deque<std::shared_ptr<Connection>> pending;
     Event acceptable;
-    bool closing = false;
   };
 
   struct PendingSend {
@@ -110,17 +109,15 @@ class Catmint final : public LibOS {
     Event send_window;  // notified when credits may have changed
   };
 
+  // kFile queues keep their cursor and pending pops in the StorageQueueEngine.
   enum class QKind : uint8_t { kUnbound, kListener, kConn, kFile };
 
   struct QueueState {
     QKind kind = QKind::kUnbound;
-    bool closing = false;
-    int waiters_guard = 0;  // blocked coroutines touching queue-owned events
     uint16_t bound_port = 0;
     bool has_bound = false;
     std::unique_ptr<Listener> listener;
     std::shared_ptr<Connection> conn;
-    uint64_t file_cursor = 0;
   };
 
   QueueState* Find(QueueDesc qd);
@@ -163,7 +160,6 @@ class Catmint final : public LibOS {
 
   std::unique_ptr<StorageQueueEngine> storage_;
   std::unordered_map<QueueDesc, QueueState> queues_;
-  std::deque<QueueDesc> deferred_close_;
   bool shutdown_ = false;
   Stats stats_;
 };

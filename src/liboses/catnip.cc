@@ -6,6 +6,11 @@
 
 namespace demi {
 
+namespace {
+// Fast-path iterations between reaps of closed TCP state.
+constexpr uint32_t kReapInterval = 1024;
+}  // namespace
+
 Catnip::Catnip(SimNetwork& network, const Config& config, Clock& clock)
     : LibOS("catnip", clock, NullDmaRegistrar::Global()),
       owned_nic_(config.shared_nic != nullptr
@@ -18,7 +23,6 @@ Catnip::Catnip(SimNetwork& network, const Config& config, Clock& clock)
       udp_(eth_, alloc_),
       tcp_(eth_, sched_, alloc_, clock, config.tcp) {
   alloc_.SetRegistrar(nic_.registrar());
-  reap_interval_ = config.reap_interval;
   eth_.RegisterMetrics(metrics_);
   // Per-queue NIC view: each shard's registry reports only its own RSS queue pair, so an
   // aggregated rollup (ShardGroup::AggregateSnapshot) sums to the whole NIC.
@@ -110,7 +114,7 @@ void Catnip::OnTenantRegistered(TenantId tenant, const TenantConfig& config) {
 
 Status Catnip::SetQueueTenant(QueueDesc qd, TenantId tenant) {
   QueueState* q = Find(qd);
-  if (q == nullptr || q->closing) {
+  if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
   q->tenant = tenant;
@@ -142,7 +146,6 @@ bool Catnip::ShedOp(TenantId tenant) {
 }
 
 Task<void> Catnip::FastPathFiber() {
-  const uint32_t reap_interval = reap_interval_ == 0 ? 1024 : reap_interval_;
   uint32_t iterations = 0;
   while (!shutdown_) {
     eth_.PollOnce();
@@ -150,23 +153,7 @@ Task<void> Catnip::FastPathFiber() {
       // Catnip×Cattree: round-robin the fast path between NIC and disk completions (§5.5).
       storage_->Poll();
     }
-    // Deferred queue teardown: objects owning events are freed only once no blocked op
-    // coroutine can still touch them.
-    while (!deferred_close_.empty()) {
-      const QueueDesc qd = deferred_close_.front();
-      auto it = queues_.find(qd);
-      if (it == queues_.end()) {
-        deferred_close_.pop_front();
-        continue;
-      }
-      if (it->second.waiters > 0) {
-        break;  // retry next iteration
-      }
-      deferred_close_.pop_front();
-      FinishClose(qd, it->second);
-      queues_.erase(it);
-    }
-    if (++iterations % reap_interval == 0) {
+    if (++iterations % kReapInterval == 0) {
       tcp_.Reap();
     }
     co_await Scheduler::Yield{};
@@ -194,7 +181,7 @@ Result<QueueDesc> Catnip::Socket(SocketType type) {
 
 Status Catnip::Bind(QueueDesc qd, SocketAddress local) {
   QueueState* q = Find(qd);
-  if (q == nullptr || q->closing) {
+  if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
   if (q->kind == QKind::kUdp) {
@@ -217,7 +204,7 @@ Status Catnip::Bind(QueueDesc qd, SocketAddress local) {
 
 Status Catnip::Listen(QueueDesc qd, int backlog) {
   QueueState* q = Find(qd);
-  if (q == nullptr || q->closing) {
+  if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
   if (q->kind != QKind::kTcpUnbound || !q->has_bound) {
@@ -245,7 +232,7 @@ QueueDesc Catnip::InstallConnQueue(std::shared_ptr<TcpConnection> conn) {
 
 Result<QToken> Catnip::Accept(QueueDesc qd) {
   QueueState* q = Find(qd);
-  if (q == nullptr || q->closing || q->kind != QKind::kTcpListener) {
+  if (q == nullptr || q->kind != QKind::kTcpListener) {
     return Status::kBadQueueDescriptor;
   }
   const QToken qt = tokens_.Allocate(OpCode::kAccept, qd, q->tenant);
@@ -266,7 +253,7 @@ Result<QToken> Catnip::Accept(QueueDesc qd) {
 Task<void> Catnip::AcceptOp(QueueDesc qd, QToken qt) {
   for (;;) {
     QueueState* q = Find(qd);
-    if (q == nullptr || q->closing || q->kind != QKind::kTcpListener) {
+    if (q == nullptr || q->kind != QKind::kTcpListener) {
       QResult r;
       r.status = Status::kCancelled;
       CompleteToken(qt, r);
@@ -281,19 +268,14 @@ Task<void> Catnip::AcceptOp(QueueDesc qd, QToken qt) {
       CompleteToken(qt, r);
       co_return;
     }
-    q->waiters++;
+    // Close wakes us and frees the listener: look the queue up again after every wake.
     co_await q->listener->acceptable().Wait();
-    // Re-find: the map may have rehashed or the queue may be closing.
-    QueueState* q2 = Find(qd);
-    if (q2 != nullptr) {
-      q2->waiters--;
-    }
   }
 }
 
 Result<QToken> Catnip::Connect(QueueDesc qd, SocketAddress remote) {
   QueueState* q = Find(qd);
-  if (q == nullptr || q->closing) {
+  if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
   if (q->kind == QKind::kUdp) {
@@ -338,7 +320,7 @@ Task<void> Catnip::ConnectOp(QueueDesc qd, QToken qt, std::shared_ptr<TcpConnect
 
 Result<QToken> Catnip::Push(QueueDesc qd, const Sgarray& sga) {
   QueueState* q = Find(qd);
-  if (q == nullptr || q->closing) {
+  if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
   if (ShedOp(q->tenant)) {
@@ -375,14 +357,8 @@ Result<QToken> Catnip::Push(QueueDesc qd, const Sgarray& sga) {
       }
       return PushTo(qd, sga, q->udp_default_remote);
     }
-    case QKind::kFile: {
-      if (storage_ == nullptr) {
-        return Status::kNotSupported;
-      }
-      const QToken qt = tokens_.Allocate(OpCode::kPush, qd, q->tenant);
-      sched_.Spawn(storage_->PushOp(qt, sga));
-      return qt;
-    }
+    case QKind::kFile:
+      return storage_->Push(qd, sga, q->tenant);
     case QKind::kMemory: {
       const QToken qt = tokens_.Allocate(OpCode::kPush, qd, q->tenant);
       // Copy into a libOS-owned buffer: the channel hands ownership to the popper.
@@ -415,7 +391,7 @@ Result<QToken> Catnip::Push(QueueDesc qd, const Sgarray& sga) {
 
 Result<QToken> Catnip::PushTo(QueueDesc qd, const Sgarray& sga, SocketAddress to) {
   QueueState* q = Find(qd);
-  if (q == nullptr || q->closing) {
+  if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
   if (q->kind != QKind::kUdp) {
@@ -487,7 +463,7 @@ void Catnip::CompleteTcpPop(QToken qt, QueueDesc qd, TcpConnection& conn) {
 
 Result<QToken> Catnip::Pop(QueueDesc qd) {
   QueueState* q = Find(qd);
-  if (q == nullptr || q->closing) {
+  if (q == nullptr) {
     return Status::kBadQueueDescriptor;
   }
   if (ShedOp(q->tenant)) {
@@ -517,14 +493,8 @@ Result<QToken> Catnip::Pop(QueueDesc qd) {
       }
       return qt;
     }
-    case QKind::kFile: {
-      if (storage_ == nullptr) {
-        return Status::kNotSupported;
-      }
-      const QToken qt = tokens_.Allocate(OpCode::kPop, qd, q->tenant);
-      sched_.Spawn(storage_->PopOp(qt, &q->file_cursor));
-      return qt;
-    }
+    case QKind::kFile:
+      return storage_->Pop(qd, q->tenant);
     case QKind::kMemory: {
       const QToken qt = tokens_.Allocate(OpCode::kPop, qd, q->tenant);
       sched_.Spawn(PopMemOp(qd, qt, q->mem));
@@ -561,7 +531,7 @@ Task<void> Catnip::PopTcpOp(QueueDesc qd, QToken qt, std::shared_ptr<TcpConnecti
 Task<void> Catnip::PopUdpOp(QueueDesc qd, QToken qt) {
   for (;;) {
     QueueState* q = Find(qd);
-    if (q == nullptr || q->closing || q->kind != QKind::kUdp) {
+    if (q == nullptr || q->kind != QKind::kUdp) {
       QResult r;
       r.status = Status::kCancelled;
       CompleteToken(qt, r);
@@ -576,12 +546,7 @@ Task<void> Catnip::PopUdpOp(QueueDesc qd, QToken qt) {
       CompleteToken(qt, r);
       co_return;
     }
-    q->waiters++;
-    co_await q->udp->readable().Wait();
-    QueueState* q2 = Find(qd);
-    if (q2 != nullptr) {
-      q2->waiters--;
-    }
+    co_await q->udp->readable().Wait();  // as AcceptOp: re-found after every wake
   }
 }
 
@@ -611,7 +576,7 @@ Task<void> Catnip::PopMemOp(QueueDesc qd, QToken qt, std::shared_ptr<MemChannel>
 Result<QToken> Catnip::Splice(QueueDesc src_qd, QueueDesc dst_qd) {
   QueueState* src = Find(src_qd);
   QueueState* dst = Find(dst_qd);
-  if (src == nullptr || src->closing || dst == nullptr || dst->closing) {
+  if (src == nullptr || dst == nullptr) {
     return Status::kBadQueueDescriptor;
   }
   if (storage_ == nullptr) {
@@ -635,7 +600,7 @@ Result<QToken> Catnip::Splice(QueueDesc src_qd, QueueDesc dst_qd) {
     tracer_.Record(TraceEventType::kSpliceStart, static_cast<uint32_t>(src_qd),
                    static_cast<uint64_t>(dst_qd));
     splice_stats_.active++;
-    sched_.Spawn(SpliceDiskToNetOp(src_qd, qt, dst->conn, src->file_cursor));
+    sched_.Spawn(SpliceDiskToNetOp(src_qd, qt, dst->conn, *storage_->Tell(src_qd)));
     return qt;
   }
   return Status::kNotSupported;  // only (TCP connection, file) pairs can splice
@@ -770,10 +735,8 @@ Task<void> Catnip::SpliceDiskToNetOp(QueueDesc src_qd, QToken qt,
     total += len;
     records++;
   }
-  QueueState* q = Find(src_qd);
-  if (q != nullptr && q->kind == QKind::kFile) {
-    q->file_cursor = cursor;  // the next pop/splice on this queue resumes where we stopped
-  }
+  // The next pop/splice on this queue resumes where we stopped (a closed queue has no cursor).
+  (void)storage_->Seek(src_qd, cursor);
   splice_stats_.ops++;
   splice_stats_.active--;
   splice_stats_.bytes += total;
@@ -792,27 +755,17 @@ Result<QueueDesc> Catnip::Open(std::string_view path) {
     return Status::kNotSupported;
   }
   const QueueDesc qd = NewQd();
-  QueueState q;
-  q.kind = QKind::kFile;
-  q.file_cursor = storage_->log().head();
-  queues_[qd] = std::move(q);
+  queues_[qd].kind = QKind::kFile;
+  storage_->Open(qd);
   return qd;
 }
 
 Status Catnip::Seek(QueueDesc qd, uint64_t offset) {
-  QueueState* q = Find(qd);
-  if (q == nullptr || q->closing || q->kind != QKind::kFile) {
-    return Status::kBadQueueDescriptor;
-  }
-  return storage_->Seek(&q->file_cursor, offset);
+  return storage_ != nullptr ? storage_->Seek(qd, offset) : Status::kBadQueueDescriptor;
 }
 
 Status Catnip::Truncate(QueueDesc qd, uint64_t offset) {
-  QueueState* q = Find(qd);
-  if (q == nullptr || q->closing || q->kind != QKind::kFile) {
-    return Status::kBadQueueDescriptor;
-  }
-  return storage_->Truncate(offset);
+  return storage_ != nullptr ? storage_->Truncate(qd, offset) : Status::kBadQueueDescriptor;
 }
 
 Result<QueueDesc> Catnip::MemoryQueue() {
@@ -826,52 +779,44 @@ Result<QueueDesc> Catnip::MemoryQueue() {
 
 // --- Close ---
 
+// Tears the queue down at once. Ops parked on its events are woken first: accept and UDP pops
+// look their queue up again and complete with kCancelled, TCP and memory pops hold the object
+// they wait on, and the engine cancels in-flight file pops. A woken op never touches an Event
+// again, so freeing the objects that own them right after the Notify is safe.
 Status Catnip::Close(QueueDesc qd) {
-  QueueState* q = Find(qd);
-  if (q == nullptr || q->closing) {
+  auto it = queues_.find(qd);
+  if (it == queues_.end()) {
     return Status::kBadQueueDescriptor;
   }
-  q->closing = true;
-  switch (q->kind) {
+  QueueState& q = it->second;
+  switch (q.kind) {
     case QKind::kTcpConn:
       // Like POSIX close(): teardown proceeds whatever the connection's fate, so a close on an
       // already-reset connection (which reports the stored error) is not surfaced to the app.
-      (void)q->conn->Close();
-      q->conn->readable().Notify();
-      break;
-    case QKind::kTcpListener:
-      q->listener->acceptable().Notify();
-      break;
-    case QKind::kUdp:
-      q->udp->readable().Notify();
-      break;
-    case QKind::kMemory:
-      q->mem->closed = true;
-      q->mem->readable.Notify();
-      break;
-    default:
-      break;
-  }
-  // Teardown of event-owning objects is deferred to the fast path once no blocked coroutine
-  // can still reference them.
-  deferred_close_.push_back(qd);
-  return Status::kOk;
-}
-
-void Catnip::FinishClose(QueueDesc qd, QueueState& q) {
-  switch (q.kind) {
-    case QKind::kTcpConn:
+      (void)q.conn->Close();
+      q.conn->readable().Notify();
       q.conn->ReleaseByApp();
       break;
     case QKind::kTcpListener:
+      q.listener->acceptable().Notify();
       tcp_.CloseListener(q.listener);
       break;
     case QKind::kUdp:
+      q.udp->readable().Notify();
       udp_.Close(q.udp);
       break;
-    default:
+    case QKind::kFile:
+      (void)storage_->Close(qd);
+      break;
+    case QKind::kMemory:
+      q.mem->closed = true;
+      q.mem->readable.Notify();
+      break;
+    case QKind::kTcpUnbound:
       break;
   }
+  queues_.erase(it);
+  return Status::kOk;
 }
 
 }  // namespace demi

@@ -39,8 +39,6 @@ class Catnip final : public LibOS {
     // Frames the fast path drains from the NIC per scheduler round (DPDK rx_burst nb_pkts);
     // 1 reproduces the pre-batching frame-per-poll datapath for ablation.
     size_t rx_burst_frames = EthernetLayer::kDefaultRxBurst;
-    // Reap closed TCP state every N fast-path iterations.
-    uint32_t reap_interval = 1024;
     // --- Sharding (paper §7 multi-worker mode; see src/core/shard_group.h) ---
     // Total shared-nothing workers the NIC splits flows across: the owned NIC is created with
     // this many RSS queue pairs. 1 (the default) is the classic single-threaded libOS.
@@ -160,15 +158,13 @@ class Catnip final : public LibOS {
     kTcpListener,
     kTcpConn,
     kUdp,
-    kFile,
+    kFile,  // its cursor and pending pops live in the StorageQueueEngine
     kMemory,
   };
 
   struct QueueState {
     QKind kind = QKind::kTcpUnbound;
-    bool closing = false;
     TenantId tenant = kDefaultTenant;
-    int waiters = 0;  // blocked op coroutines touching events owned by this queue
     SocketAddress bound{};
     bool has_bound = false;
     TcpListener* listener = nullptr;
@@ -176,7 +172,6 @@ class Catnip final : public LibOS {
     UdpStack::Socket* udp = nullptr;
     SocketAddress udp_default_remote{};
     bool udp_connected = false;
-    uint64_t file_cursor = 0;
     std::shared_ptr<MemChannel> mem;
   };
 
@@ -187,7 +182,6 @@ class Catnip final : public LibOS {
   bool ShedOp(TenantId tenant);
   void OnTenantRegistered(TenantId tenant, const TenantConfig& config) override;
   QueueDesc InstallConnQueue(std::shared_ptr<TcpConnection> conn);
-  void FinishClose(QueueDesc qd, QueueState& q);
 
   // Op coroutines.
   Task<void> FastPathFiber();
@@ -214,8 +208,6 @@ class Catnip final : public LibOS {
   std::unique_ptr<StorageQueueEngine> storage_;
   SimBlockDevice* disk_ = nullptr;  // external device: tracer detached at destruction
   std::unordered_map<QueueDesc, QueueState> queues_;
-  std::deque<QueueDesc> deferred_close_;
-  uint32_t reap_interval_ = 1024;
   bool shutdown_ = false;
   SpliceStats splice_stats_;
 };

@@ -28,48 +28,4 @@ Task<void> Cattree::FastPathFiber() {
   }
 }
 
-Result<QueueDesc> Cattree::Open(std::string_view path) {
-  const QueueDesc qd = next_qd_++;
-  queues_[qd] = QueueState{storage_.log().head()};
-  return qd;
-}
-
-Status Cattree::Seek(QueueDesc qd, uint64_t offset) {
-  auto it = queues_.find(qd);
-  if (it == queues_.end()) {
-    return Status::kBadQueueDescriptor;
-  }
-  return storage_.Seek(&it->second.cursor, offset);
-}
-
-Status Cattree::Truncate(QueueDesc qd, uint64_t offset) {
-  if (queues_.count(qd) == 0) {
-    return Status::kBadQueueDescriptor;
-  }
-  return storage_.Truncate(offset);
-}
-
-Status Cattree::Close(QueueDesc qd) {
-  return queues_.erase(qd) > 0 ? Status::kOk : Status::kBadQueueDescriptor;
-}
-
-Result<QToken> Cattree::Push(QueueDesc qd, const Sgarray& sga) {
-  if (queues_.count(qd) == 0) {
-    return Status::kBadQueueDescriptor;
-  }
-  const QToken qt = tokens_.Allocate(OpCode::kPush, qd);
-  sched_.Spawn(storage_.PushOp(qt, sga));
-  return qt;
-}
-
-Result<QToken> Cattree::Pop(QueueDesc qd) {
-  auto it = queues_.find(qd);
-  if (it == queues_.end()) {
-    return Status::kBadQueueDescriptor;
-  }
-  const QToken qt = tokens_.Allocate(OpCode::kPop, qd);
-  sched_.Spawn(storage_.PopOp(qt, &it->second.cursor));
-  return qt;
-}
-
 }  // namespace demi

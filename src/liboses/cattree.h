@@ -1,12 +1,11 @@
 // Cattree: the standalone SPDK storage library OS (paper §6.4), over the simulated block
 // device. PDPIX queues map onto an abstract log: open() returns a queue with a read cursor,
 // push appends durably, pop reads at the cursor, seek/truncate move the cursor and GC the log.
+// Every file-queue call forwards to the StorageQueueEngine, which owns the queues' state.
 // Network calls return kNotSupported — pair with Catnip/Catmint for the integrated libOSes.
 
 #ifndef SRC_LIBOSES_CATTREE_H_
 #define SRC_LIBOSES_CATTREE_H_
-
-#include <unordered_map>
 
 #include "src/core/libos.h"
 #include "src/liboses/storage_queue_engine.h"
@@ -24,25 +23,28 @@ class Cattree final : public LibOS {
   Result<QToken> Accept(QueueDesc) override { return Status::kNotSupported; }
   Result<QToken> Connect(QueueDesc, SocketAddress) override { return Status::kNotSupported; }
 
-  Result<QueueDesc> Open(std::string_view path) override;
-  [[nodiscard]] Status Seek(QueueDesc qd, uint64_t offset) override;
-  [[nodiscard]] Status Truncate(QueueDesc qd, uint64_t offset) override;
-  [[nodiscard]] Status Close(QueueDesc qd) override;
-  Result<QToken> Push(QueueDesc qd, const Sgarray& sga) override;
-  Result<QToken> Pop(QueueDesc qd) override;
+  Result<QueueDesc> Open(std::string_view path) override {
+    const QueueDesc qd = next_qd_++;
+    storage_.Open(qd);
+    return qd;
+  }
+  [[nodiscard]] Status Seek(QueueDesc qd, uint64_t offset) override {
+    return storage_.Seek(qd, offset);
+  }
+  [[nodiscard]] Status Truncate(QueueDesc qd, uint64_t offset) override {
+    return storage_.Truncate(qd, offset);
+  }
+  [[nodiscard]] Status Close(QueueDesc qd) override { return storage_.Close(qd); }
+  Result<QToken> Push(QueueDesc qd, const Sgarray& sga) override { return storage_.Push(qd, sga); }
+  Result<QToken> Pop(QueueDesc qd) override { return storage_.Pop(qd); }
 
   StorageQueueEngine& storage() { return storage_; }
 
  private:
-  struct QueueState {
-    uint64_t cursor = 0;
-  };
-
   Task<void> FastPathFiber();
 
   StorageQueueEngine storage_;
   SimBlockDevice* disk_;  // external device: tracer detached at destruction
-  std::unordered_map<QueueDesc, QueueState> queues_;
   bool shutdown_ = false;
 };
 

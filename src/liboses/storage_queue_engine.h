@@ -3,12 +3,15 @@
 //
 // Maps PDPIX queues onto the abstract log: each open() returns a queue with its own read
 // cursor; push appends records (durable on completion), pop reads the record at the cursor,
-// seek/truncate move the cursor and garbage-collect.
+// seek/truncate move the cursor and garbage-collect. The engine is the one owner of every open
+// file queue's state, keyed by the libOS's queue descriptor: the libOSes only forward to it.
 
 #ifndef SRC_LIBOSES_STORAGE_QUEUE_ENGINE_H_
 #define SRC_LIBOSES_STORAGE_QUEUE_ENGINE_H_
 
 #include <cstring>
+#include <deque>
+#include <unordered_map>
 #include <vector>
 
 #include "src/core/libos.h"
@@ -24,63 +27,97 @@ class StorageQueueEngine {
   StorageQueueEngine(SimBlockDevice& disk, Scheduler& sched, PoolAllocator& alloc,
                      QTokenTable& tokens, const LogPartition& partition = {},
                      std::atomic<uint64_t>* epoch = nullptr)
-      : log_(disk, sched, partition, epoch), alloc_(alloc), tokens_(tokens) {}
+      : log_(disk, sched, partition, epoch), sched_(sched), alloc_(alloc), tokens_(tokens) {}
 
   LogDevice& log() { return log_; }
   void Poll() { log_.PollDevice(); }
   bool HasPendingIo() const { return log_.HasPendingIo(); }
 
-  // Spawnable op coroutines; the libOS owns qtoken allocation and queue bookkeeping.
+  // --- File queues. Every call on a descriptor that is not open returns kBadQueueDescriptor.
 
-  // Appends the sga as one record; completes `qt` when durable. The record is flattened and
-  // queued on the log HERE, synchronously at push time: a coroutine body only runs at its
-  // first resume, by which point PDPIX allows the app to have freed the memory (UAF
-  // semantics), and the log group-commits whatever is queued when its leader runs.
-  Task<void> PushOp(QToken qt, const Sgarray& sga) {
+  // Opens file queue `qd` (allocated by the libOS) with its read cursor at the log head.
+  void Open(QueueDesc qd) { files_[qd].cursor = log_.head(); }
+
+  // Drops the queue at once: pops still in flight on it complete with kCancelled.
+  [[nodiscard]] Status Close(QueueDesc qd) {
+    auto it = files_.find(qd);
+    if (it == files_.end()) {
+      return Status::kBadQueueDescriptor;
+    }
+    QResult qr;
+    qr.status = Status::kCancelled;
+    for (QToken qt : it->second.pops) {
+      tokens_.Complete(qt, qr);
+    }
+    files_.erase(it);
+    return Status::kOk;
+  }
+
+  [[nodiscard]] Status Seek(QueueDesc qd, uint64_t offset) {
+    auto it = files_.find(qd);
+    if (it == files_.end()) {
+      return Status::kBadQueueDescriptor;
+    }
+    if (offset < log_.head() || offset > log_.tail()) {
+      return Status::kInvalidArgument;
+    }
+    it->second.cursor = offset;
+    return Status::kOk;
+  }
+
+  // The queue's read cursor: a file→TCP splice starts there and Seeks it forward after.
+  Result<uint64_t> Tell(QueueDesc qd) const {
+    auto it = files_.find(qd);
+    if (it == files_.end()) {
+      return Status::kBadQueueDescriptor;
+    }
+    return it->second.cursor;
+  }
+
+  [[nodiscard]] Status Truncate(QueueDesc qd, uint64_t offset) {
+    return files_.count(qd) == 0 ? Status::kBadQueueDescriptor : log_.Truncate(offset);
+  }
+
+  // Appends the sga as one record; the token completes when it is durable. The record is
+  // flattened and queued on the log HERE, synchronously at push time: PDPIX allows the app to
+  // free the memory once Push returns (UAF semantics), and the log group-commits whatever is
+  // queued when its leader runs.
+  Result<QToken> Push(QueueDesc qd, const Sgarray& sga, TenantId tenant = kDefaultTenant) {
+    if (files_.count(qd) == 0) {
+      return Status::kBadQueueDescriptor;
+    }
+    const QToken qt = tokens_.Allocate(OpCode::kPush, qd, tenant);
     std::vector<uint8_t> record;
     record.reserve(sga.TotalBytes());
     for (uint32_t i = 0; i < sga.num_segs; i++) {
       const auto* p = static_cast<const uint8_t*>(sga.segs[i].buf);
       record.insert(record.end(), p, p + sga.segs[i].len);
     }
-    return CompleteAppend(qt, log_.Append(std::move(record)));
+    sched_.Spawn(CompleteAppend(qt, log_.Append(std::move(record))));
+    return qt;
   }
 
-  // Reads the record at *cursor; completes `qt` with an app-owned sga and advances the cursor.
-  Task<void> PopOp(QToken qt, uint64_t* cursor) {
-    auto result = co_await log_.Read(*cursor);
-    QResult qr;
-    if (!result.ok()) {
-      qr.status = result.error();
-      tokens_.Complete(qt, qr);
-      co_return;
+  // Reads the next record into an app-owned sga. Pops on one queue complete in posting order,
+  // each with the record after its predecessor's.
+  Result<QToken> Pop(QueueDesc qd, TenantId tenant = kDefaultTenant) {
+    auto it = files_.find(qd);
+    if (it == files_.end()) {
+      return Status::kBadQueueDescriptor;
     }
-    *cursor = result->next_cursor;
-    Buffer buf = Buffer::TryAllocate(alloc_, result->payload.size());
-    if (!buf.valid()) {
-      qr.status = Status::kNoMemory;  // cursor already advanced past a durable record; the
-      tokens_.Complete(qt, qr);       // caller may Seek back and re-pop once memory frees up
-      co_return;
+    const QToken qt = tokens_.Allocate(OpCode::kPop, qd, tenant);
+    it->second.pops.push_back(qt);
+    if (it->second.pops.size() == 1) {
+      sched_.Spawn(ReadLoop(qd));
     }
-    if (!result->payload.empty()) {
-      std::memcpy(buf.mutable_data(), result->payload.data(), result->payload.size());
-    }
-    qr.status = Status::kOk;
-    qr.sga = BufferToAppSga(std::move(buf));
-    tokens_.Complete(qt, qr);
+    return qt;
   }
-
-  [[nodiscard]] Status Seek(uint64_t* cursor, uint64_t offset) {
-    if (offset < log_.head() || offset > log_.tail()) {
-      return Status::kInvalidArgument;
-    }
-    *cursor = offset;
-    return Status::kOk;
-  }
-
-  [[nodiscard]] Status Truncate(uint64_t offset) { return log_.Truncate(offset); }
 
  private:
+  struct FileQueue {
+    uint64_t cursor = 0;
+    std::deque<QToken> pops;  // posted and not yet completed; ReadLoop serves the front
+  };
+
   Task<void> CompleteAppend(QToken qt, Task<Result<uint64_t>> append) {
     auto result = co_await std::move(append);
     QResult qr;
@@ -88,9 +125,48 @@ class StorageQueueEngine {
     tokens_.Complete(qt, qr);
   }
 
+  // Serves `qd`'s posted pops one read at a time and exits when none is left. It looks the
+  // queue up again after every read: a Close while the read was in flight has dropped the
+  // queue and cancelled its pops, and the record read is discarded.
+  Task<void> ReadLoop(QueueDesc qd) {
+    for (;;) {
+      auto it = files_.find(qd);
+      if (it == files_.end() || it->second.pops.empty()) {
+        co_return;
+      }
+      auto result = co_await log_.Read(it->second.cursor);
+      it = files_.find(qd);
+      if (it == files_.end()) {
+        co_return;
+      }
+      FileQueue& fq = it->second;
+      const QToken qt = fq.pops.front();
+      fq.pops.pop_front();
+      QResult qr;
+      qr.status = result.error();
+      if (result.ok()) {
+        fq.cursor = result->next_cursor;
+        Buffer buf = Buffer::TryAllocate(alloc_, result->payload.size());
+        if (!buf.valid()) {
+          // The cursor is already past a durable record: the caller may Seek back and pop
+          // again once memory frees up.
+          qr.status = Status::kNoMemory;
+        } else {
+          if (!result->payload.empty()) {
+            std::memcpy(buf.mutable_data(), result->payload.data(), result->payload.size());
+          }
+          qr.sga = BufferToAppSga(std::move(buf));
+        }
+      }
+      tokens_.Complete(qt, qr);
+    }
+  }
+
   LogDevice log_;
+  Scheduler& sched_;
   PoolAllocator& alloc_;
   QTokenTable& tokens_;
+  std::unordered_map<QueueDesc, FileQueue> files_;
 };
 
 }  // namespace demi

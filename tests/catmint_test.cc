@@ -10,6 +10,7 @@
 
 #include "src/common/clock.h"
 #include "src/liboses/catmint.h"
+#include "tests/sim_world.h"
 
 namespace demi {
 namespace {
@@ -210,6 +211,38 @@ TEST_F(CatmintTest, ConnectToUnknownAddressFailsFast) {
   // No AddPeer mapping for this IP: rdma_cm-style resolution fails synchronously.
   EXPECT_EQ(client_->Connect(*cqd, {Ipv4Addr::FromOctets(10, 99, 99, 99), 1}).error(),
             Status::kNotFound);
+}
+
+// A parked accept completes with kCancelled and the descriptor is refused as soon as Close
+// returns; the port is free for a new listener at once.
+TEST(CatmintCloseTest, CloseCancelsAPendingAccept) {
+  SimWorld world;
+  Catmint::Config cfg;
+  cfg.mac = MacAddr{0x51};
+  cfg.ip = Ipv4Addr::FromOctets(10, 8, 2, 1);
+  Catmint os(world.net, cfg, world.clock);
+  world.AddLibOS(os);
+  const SocketAddress addr{cfg.ip, 7100};
+
+  auto qd = os.Socket(SocketType::kStream);
+  ASSERT_TRUE(qd.ok());
+  ASSERT_EQ(os.Bind(*qd, addr), Status::kOk);
+  ASSERT_EQ(os.Listen(*qd, 4), Status::kOk);
+  auto accept = os.Accept(*qd);
+  ASSERT_TRUE(accept.ok());
+  os.PollOnce();  // the accept finds no connection and parks on the listener
+  ASSERT_FALSE(os.IsDone(*accept));
+
+  ASSERT_EQ(os.Close(*qd), Status::kOk);
+  EXPECT_EQ(os.Accept(*qd).error(), Status::kBadQueueDescriptor);
+  EXPECT_EQ(os.Close(*qd), Status::kBadQueueDescriptor);
+  ASSERT_TRUE(world.RunUntil([&] { return os.IsDone(*accept); }));
+  EXPECT_EQ(os.TryTake(*accept)->status, Status::kCancelled);
+
+  auto again = os.Socket(SocketType::kStream);
+  ASSERT_TRUE(again.ok());
+  ASSERT_EQ(os.Bind(*again, addr), Status::kOk);
+  EXPECT_EQ(os.Listen(*again, 4), Status::kOk);
 }
 
 TEST(CatmintCattreeTest, FileQueuesOverRdmaLibOs) {

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -262,8 +263,9 @@ TEST_F(CatnipPairTest, WaitAnyHarvestDrainsBurst) {
   }
   std::vector<QResult> events;
   std::vector<size_t> indices;
-  const size_t n = server_.WaitAnyHarvest(pops, &events, &indices, kSecond);
-  EXPECT_EQ(n, 4u);
+  const auto n = server_.WaitAnyHarvest(pops, &events, &indices, kSecond);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(*n, 4u);
   ASSERT_EQ(events.size(), 4u);
   std::vector<std::string> got;
   for (auto& e : events) {
@@ -273,9 +275,11 @@ TEST_F(CatnipPairTest, WaitAnyHarvestDrainsBurst) {
   for (int i = 0; i < 4; i++) {
     EXPECT_EQ(got[i], "burst-" + std::to_string(i));
   }
-  // All tokens consumed: a second harvest times out.
+  // All tokens consumed: a second harvest over them is refused, as Wait refuses a stale token.
   std::vector<QResult> empty;
-  EXPECT_EQ(server_.WaitAnyHarvest(pops, &empty, nullptr, 2 * kMillisecond), 0u);
+  EXPECT_EQ(server_.WaitAnyHarvest(pops, &empty, nullptr, 2 * kMillisecond).error(),
+            Status::kBadQToken);
+  EXPECT_TRUE(empty.empty());
 }
 
 TEST_F(CatnipPairTest, BadDescriptorsAndTokensRejected) {
@@ -298,6 +302,136 @@ TEST_F(CatnipPairTest, DmaHeapMallocFree) {
   ASSERT_NE(p, nullptr);
   EXPECT_TRUE(server_.allocator().Owns(p));
   server_.DmaFree(p);
+}
+
+// --- One wait loop (virtual time) ---
+//
+// Wait, WaitAny and WaitAnyHarvest share one poll-and-deadline loop. The external pump is the
+// only thing that moves the VirtualClock, so each test controls in which round the deadline
+// passes.
+
+class WaitLoopTest : public ::testing::Test {
+ protected:
+  WaitLoopTest()
+      : os_(world_.net,
+            Catnip::Config{MacAddr{1}, Ipv4Addr::FromOctets(10, 0, 0, 1), TcpConfig{}, nullptr},
+            world_.clock) {
+    world_.AddLibOS(os_);
+    mq_ = *os_.MemoryQueue();
+    idle_mq_ = *os_.MemoryQueue();
+    os_.tracer().Enable(1024);
+    os_.SetExternalPump([this] {
+      rounds_++;
+      world_.clock.Advance(kMicrosecond);
+    });
+  }
+
+  // Posts a pop on mq_ that completes in the round whose pump crosses a `timeout` deadline: the
+  // first pump pushes the message, the next round's scheduler poll hands it to the pop, and
+  // that round's pump moves the clock to the deadline.
+  QToken PopCompletingInTheFinalRound(DurationNs timeout) {
+    auto pop = os_.Pop(mq_);
+    EXPECT_TRUE(pop.ok());
+    os_.SetExternalPump([this, timeout] {
+      if (++rounds_ == 1) {
+        push_ = *os_.Push(mq_, MakeSga(os_, "last"));
+      } else {
+        world_.clock.Advance(timeout);
+      }
+    });
+    return *pop;
+  }
+
+  uint64_t WaitNsCount() {
+    for (const auto& s : os_.metrics().Snapshot()) {
+      if (s.name == "core.wait_ns") {
+        return s.count;
+      }
+    }
+    return 0;
+  }
+
+  size_t TimesRedeemed(QToken qt) {
+    size_t n = 0;
+    for (const TraceEvent& e : os_.tracer().Drain()) {
+      n += e.type == TraceEventType::kQTokenRedeemed && e.arg2 == qt ? 1 : 0;
+    }
+    return n;
+  }
+
+  SimWorld world_;
+  Catnip os_;
+  QueueDesc mq_ = kInvalidQd;
+  QueueDesc idle_mq_ = kInvalidQd;  // never pushed: a pop on it stays pending
+  int rounds_ = 0;
+  QToken push_ = 0;
+};
+
+TEST_F(WaitLoopTest, WaitAnyCountsATokenCompletedInTheFinalRound) {
+  constexpr DurationNs kTimeout = 10 * kMicrosecond;
+  const QToken idle = *os_.Pop(idle_mq_);
+  const QToken pop = PopCompletingInTheFinalRound(kTimeout);
+  const uint64_t waits = WaitNsCount();
+  const std::vector<QToken> qts{idle, pop};
+  size_t index = qts.size();
+  auto r = os_.WaitAny(qts, &index, kTimeout);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(rounds_, 2);
+  EXPECT_EQ(index, 1u);
+  EXPECT_EQ(SgaToString(os_, r->sga), "last");
+  EXPECT_EQ(WaitNsCount(), waits + 1);
+  EXPECT_EQ(TimesRedeemed(pop), 1u);
+  ASSERT_TRUE(os_.Wait(push_).ok());
+}
+
+TEST_F(WaitLoopTest, WaitAnyHarvestClaimsATokenCompletedInTheFinalRound) {
+  constexpr DurationNs kTimeout = 10 * kMicrosecond;
+  const QToken idle = *os_.Pop(idle_mq_);
+  const QToken pop = PopCompletingInTheFinalRound(kTimeout);
+  const uint64_t waits = WaitNsCount();
+  std::vector<QResult> events;
+  std::vector<size_t> indices;
+  auto n = os_.WaitAnyHarvest(std::vector<QToken>{idle, pop}, &events, &indices, kTimeout);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(rounds_, 2);
+  ASSERT_EQ(*n, 1u);
+  EXPECT_EQ(indices, std::vector<size_t>{1});
+  EXPECT_EQ(SgaToString(os_, events[0].sga), "last");
+  EXPECT_EQ(WaitNsCount(), waits + 1);
+  EXPECT_EQ(TimesRedeemed(pop), 1u);
+  ASSERT_TRUE(os_.Wait(push_).ok());
+}
+
+TEST_F(WaitLoopTest, CompletedTokenIsClaimedBeforeTheFirstPoll) {
+  auto push = os_.Push(mq_, MakeSga(os_, "ready"));  // a memory-queue push completes inline
+  ASSERT_TRUE(push.ok());
+  ASSERT_TRUE(os_.Wait(*push, kMillisecond).ok());
+  auto pop = os_.Pop(mq_);
+  ASSERT_TRUE(pop.ok());
+  ASSERT_TRUE(world_.RunUntil([&] { return os_.IsDone(*pop); }));
+  std::vector<QResult> events;
+  auto n = os_.WaitAnyHarvest(std::vector<QToken>{*pop}, &events, nullptr, kMillisecond);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(*n, 1u);
+  EXPECT_EQ(SgaToString(os_, events[0].sga), "ready");
+  EXPECT_EQ(rounds_, 0) << "a wait on completed tokens must not poll";
+}
+
+TEST_F(WaitLoopTest, WaitAnyHarvestRefusesAStaleToken) {
+  auto push = os_.Push(mq_, MakeSga(os_, "gone"));
+  ASSERT_TRUE(push.ok());
+  ASSERT_TRUE(os_.Wait(*push).ok());  // redeemed: the token is now stale
+  const QToken idle = *os_.Pop(idle_mq_);
+  std::vector<QResult> events;
+  const std::vector<QToken> qts{idle, *push};
+  EXPECT_EQ(os_.WaitAnyHarvest(qts, &events, nullptr, kMillisecond).error(), Status::kBadQToken);
+  EXPECT_EQ(os_.WaitAny(qts, nullptr, kMillisecond).error(), Status::kBadQToken);
+  EXPECT_EQ(rounds_, 0);
+  EXPECT_TRUE(events.empty());
+  EXPECT_FALSE(os_.IsDone(idle));
+  EXPECT_EQ(os_.WaitAnyHarvest(std::vector<QToken>{idle}, &events, nullptr, kMillisecond).value(),
+            0u)
+      << "a harvest with no completion by the deadline returns 0";
 }
 
 // --- Abandoned pops (one thread, virtual time) ---
@@ -782,6 +916,148 @@ TEST(CattreeTest, TruncateGarbageCollects) {
   Sgarray sga = r->sga;
   EXPECT_EQ(SgaToString(os, sga), "new");
   EXPECT_EQ(os.Seek(*qd2, 0), Status::kInvalidArgument);  // below GC head
+}
+
+
+// --- Close takes effect at once (docs/API.md, Close) ---
+//
+// File queues on every libOS with a storage engine. The StorageQueueEngine owns each file
+// queue's cursor and pending pops, so a close drops them while a pop's log read may still be
+// on the device.
+
+class FileQueueCloseTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  FileQueueCloseTest() : disk_(SimBlockDevice::Config{}, world_.clock) {
+    if (GetParam() == "Cattree") {
+      os_ = std::make_unique<Cattree>(disk_, world_.clock);
+    } else if (GetParam() == "CatnipCattree") {
+      Catnip::Config cfg{MacAddr{9}, Ipv4Addr::FromOctets(10, 0, 0, 9), TcpConfig{}, &disk_};
+      os_ = std::make_unique<Catnip>(world_.net, cfg, world_.clock);
+    } else {
+      Catmint::Config cfg;
+      cfg.mac = MacAddr{0x41};
+      cfg.ip = Ipv4Addr::FromOctets(10, 8, 1, 1);
+      cfg.disk = &disk_;
+      os_ = std::make_unique<Catmint>(world_.net, cfg, world_.clock);
+    }
+    world_.AddLibOS(*os_);
+    world_.Watch(disk_);
+  }
+
+  // Opens a file queue over a log holding "rec-one" and "rec-two".
+  QueueDesc OpenWithTwoRecords() {
+    auto qd = os_->Open("log");
+    EXPECT_TRUE(qd.ok());
+    for (const char* rec : {"rec-one", "rec-two"}) {
+      auto push = os_->Push(*qd, MakeSga(*os_, rec));
+      EXPECT_TRUE(push.ok());
+      EXPECT_TRUE(world_.RunUntil([&] { return os_->IsDone(*push); }));
+      EXPECT_EQ(os_->TryTake(*push)->status, Status::kOk);
+    }
+    return *qd;
+  }
+
+  SimWorld world_;
+  SimBlockDevice disk_;
+  std::unique_ptr<LibOS> os_;
+};
+
+TEST_P(FileQueueCloseTest, CloseCancelsAPopWhoseReadIsInFlight) {
+  const QueueDesc qd = OpenWithTwoRecords();
+  const uint64_t live_objects = os_->allocator().GetStats().live_objects;
+  const size_t fibers = os_->scheduler().NumLiveFibers();
+  const uint64_t reads = disk_.GetStats().reads;
+  auto pop = os_->Pop(qd);
+  ASSERT_TRUE(pop.ok());
+  os_->PollOnce();  // the pop's log read is now on the device; virtual time has not moved
+  ASSERT_GT(disk_.GetStats().reads, reads);
+  ASSERT_FALSE(os_->IsDone(*pop));
+
+  ASSERT_EQ(os_->Close(qd), Status::kOk);
+  EXPECT_EQ(os_->Pop(qd).error(), Status::kBadQueueDescriptor);
+  EXPECT_EQ(os_->Seek(qd, 0), Status::kBadQueueDescriptor);
+  EXPECT_EQ(os_->Close(qd), Status::kBadQueueDescriptor);
+  // Let the read land: the pop must not complete into the dropped queue or keep the record.
+  ASSERT_TRUE(world_.RunUntil([&] { return os_->scheduler().NumLiveFibers() == fibers; }));
+  auto r = os_->TryTake(*pop);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->status, Status::kCancelled);
+  EXPECT_EQ(r->sga.num_segs, 0u);
+  EXPECT_EQ(os_->allocator().GetStats().live_objects, live_objects);
+}
+
+TEST_P(FileQueueCloseTest, OutstandingPopsReadSuccessiveRecordsInOrder) {
+  const QueueDesc qd = OpenWithTwoRecords();
+  auto pop1 = os_->Pop(qd);
+  auto pop2 = os_->Pop(qd);
+  ASSERT_TRUE(pop1.ok() && pop2.ok());
+  ASSERT_TRUE(world_.RunUntil([&] { return os_->IsDone(*pop2); }));
+  ASSERT_TRUE(os_->IsDone(*pop1)) << "pops on one file queue complete in posting order";
+  auto r1 = os_->TryTake(*pop1);
+  auto r2 = os_->TryTake(*pop2);
+  ASSERT_TRUE(r1.ok() && r2.ok());
+  ASSERT_EQ(r1->status, Status::kOk);
+  ASSERT_EQ(r2->status, Status::kOk);
+  EXPECT_EQ(SgaToString(*os_, r1->sga), "rec-one");
+  EXPECT_EQ(SgaToString(*os_, r2->sga), "rec-two");
+  EXPECT_EQ(os_->Close(qd), Status::kOk);
+}
+
+INSTANTIATE_TEST_SUITE_P(StorageLibOSes, FileQueueCloseTest,
+                         ::testing::Values("Cattree", "CatnipCattree", "CatmintCattree"),
+                         [](const ::testing::TestParamInfo<std::string>& p) { return p.param; });
+
+// Catnip network queues: a parked accept or UDP pop completes with kCancelled, and the port is
+// free for a new socket as soon as Close returns.
+class CatnipCloseTest : public ::testing::Test {
+ protected:
+  CatnipCloseTest() : os_(world_.net, Catnip::Config{MacAddr{1}, kIp, TcpConfig{}, nullptr},
+                          world_.clock) {
+    world_.AddLibOS(os_);
+  }
+
+  // Closes `qd` while `parked` waits on it and checks the close took effect at once.
+  void CloseAndExpectCancelled(QueueDesc qd, QToken parked) {
+    os_.PollOnce();  // the op finds nothing ready and parks on the queue's event
+    ASSERT_FALSE(os_.IsDone(parked));
+    ASSERT_EQ(os_.Close(qd), Status::kOk);
+    EXPECT_EQ(os_.Pop(qd).error(), Status::kBadQueueDescriptor);
+    EXPECT_EQ(os_.Accept(qd).error(), Status::kBadQueueDescriptor);
+    EXPECT_EQ(os_.Close(qd), Status::kBadQueueDescriptor);
+    ASSERT_TRUE(world_.RunUntil([&] { return os_.IsDone(parked); }));
+    EXPECT_EQ(os_.TryTake(parked)->status, Status::kCancelled);
+  }
+
+  static constexpr Ipv4Addr kIp = Ipv4Addr::FromOctets(10, 0, 0, 1);
+  static constexpr uint16_t kPort = 6300;
+  SimWorld world_;
+  Catnip os_;
+};
+
+TEST_F(CatnipCloseTest, CloseCancelsAPendingAccept) {
+  auto qd = os_.Socket(SocketType::kStream);
+  ASSERT_TRUE(qd.ok());
+  ASSERT_EQ(os_.Bind(*qd, {kIp, kPort}), Status::kOk);
+  ASSERT_EQ(os_.Listen(*qd, 4), Status::kOk);
+  auto accept = os_.Accept(*qd);
+  ASSERT_TRUE(accept.ok());
+  CloseAndExpectCancelled(*qd, *accept);
+  auto again = os_.Socket(SocketType::kStream);
+  ASSERT_TRUE(again.ok());
+  ASSERT_EQ(os_.Bind(*again, {kIp, kPort}), Status::kOk);
+  EXPECT_EQ(os_.Listen(*again, 4), Status::kOk);
+}
+
+TEST_F(CatnipCloseTest, CloseCancelsAPendingUdpPop) {
+  auto qd = os_.Socket(SocketType::kDatagram);
+  ASSERT_TRUE(qd.ok());
+  ASSERT_EQ(os_.Bind(*qd, {kIp, kPort}), Status::kOk);
+  auto pop = os_.Pop(*qd);
+  ASSERT_TRUE(pop.ok());
+  CloseAndExpectCancelled(*qd, *pop);
+  auto again = os_.Socket(SocketType::kDatagram);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(os_.Bind(*again, {kIp, kPort}), Status::kOk);
 }
 
 }  // namespace

@@ -42,7 +42,7 @@ invariants the compiler cannot see:
                      file or directory (http(s)/mailto links and bare #anchors are skipped;
                      build trees and the selftest fixtures are not scanned).
   doc-path           every backticked repo path in a *.md file (a token whose first segment
-                     is a top-level repo directory; `:line` suffixes dropped, one `{a,b}`
+                     is a top-level repo directory; `:line` suffixes dropped, every `{a,b}`
                      group expanded) exists. Same files as md-link except CHANGES.md and
                      ROADMAP.md, which name deleted and planned files on purpose.
 
@@ -480,6 +480,15 @@ def lint_markdown(path, rel, text, root):
     return diags
 
 
+def expand_braces(token):
+    """Every path a token names: each `{a,b}` group expands, so `x/{a,b}.{h,cc}` is four."""
+    brace = RE_BRACE.search(token)
+    if not brace:
+        return [token]
+    return [path for alt in brace.group(1).split(",")
+            for path in expand_braces(token[:brace.start()] + alt + token[brace.end():])]
+
+
 def lint_doc_paths(rel, text, root):
     """doc-path: each backticked token whose first segment is a top-level directory of `root`
     must exist under `root`. Commands (whitespace), globs and placeholders are not paths."""
@@ -492,9 +501,7 @@ def lint_doc_paths(rel, text, root):
             token = m.group(1).split(":", 1)[0]
             if token.split("/", 1)[0] not in tops or "/" not in token or re.search(r"[*<>]", token):
                 continue
-            brace = RE_BRACE.search(token)
-            paths = ([token[:brace.start()] + alt + token[brace.end():]
-                      for alt in brace.group(1).split(",")] if brace else [token])
+            paths = expand_braces(token)
             missing = [p for p in paths if not os.path.exists(os.path.join(root, p))]
             if missing:
                 diags.append(Diagnostic(rel, idx, "doc-path",
