@@ -5,11 +5,14 @@
 #
 # Each sanitizer gets its own build tree (build-asan/, build-ubsan/) configured with
 # -DDEMI_SANITIZE=<name>; the chaos soak is shortened via DEMI_CHAOS_SEEDS so a full
-# sanitized sweep stays CI-friendly. The simulation itself is single-threaded by design, so
+# sanitized sweep stays CI-friendly. These trees run every ctest case except the `perf`
+# label (bench/CMakeLists.txt): gates decided by wall-clock speed would measure the
+# sanitizer, not the code. The simulation itself is single-threaded by design, so
 # ThreadSanitizer runs a targeted job (build-tsan/) over just the tests that actually spawn
-# threads — the apps_test client/server echo pairs, the multi-worker ShardGroup suite
-# (real shard threads busy-polling a shared multi-queue NIC) and affinity_test's live metric
-# scrape of running shards — instead of the whole suite.
+# threads — the fabric's cross-thread and multi-queue cases, the apps_test client/server
+# echo pairs, the multi-worker ShardGroup suite (real shard threads busy-polling a shared
+# multi-queue NIC) and affinity_test's live metric scrape of running shards — instead of
+# the whole suite.
 # A final targeted DemiSan tree (build-demisan/, -DDEMI_OWNERSHIP_CHECKS=ON) runs the
 # cross-tenant ownership death tests that skip themselves in every other build.
 
@@ -27,17 +30,20 @@ for san in address undefined; do
   echo "=== DEMI_SANITIZE=$san -> $bdir ==="
   cmake -B "$bdir" -S "$ROOT" -DDEMI_SANITIZE="$san" > /dev/null
   cmake --build "$bdir" -j "$JOBS" > /dev/null
-  (cd "$bdir" && ctest --output-on-failure -j "$JOBS")
+  (cd "$bdir" && ctest --output-on-failure -j "$JOBS" -LE perf)
 done
 
-echo "=== DEMI_SANITIZE=thread (targeted: threaded apps_test echo pairs + ShardGroup) ==="
+echo "=== DEMI_SANITIZE=thread (targeted: fabric, threaded apps_test echo pairs + ShardGroup) ==="
 bdir="$ROOT/build-tsan"
 cmake -B "$bdir" -S "$ROOT" -DDEMI_SANITIZE=thread > /dev/null
-cmake --build "$bdir" -j "$JOBS" --target apps_test shard_test timer_wheel_test affinity_test \
-  splice_chaos_test tenant_chaos_test > /dev/null
+cmake --build "$bdir" -j "$JOBS" --target netsim_test apps_test shard_test timer_wheel_test \
+  affinity_test splice_chaos_test tenant_chaos_test > /dev/null
+# The fabric's own seam: a sender thread delivering into an rx queue (its lock and the
+# relaxed "next due" gate an empty poll reads) while the queue's owner polls it.
+"$bdir/tests/netsim_test" --gtest_filter='*CrossThread*:MultiQueueNicTest.*'
 "$bdir/tests/apps_test" --gtest_filter='*Threaded*'
-# The 2-worker shard runs: every cross-core seam (per-queue delivery locks, SPSC descriptor
-# rings, shared fabric stats) executes under TSan here. This filter includes the sharded
+# The 2-worker shard runs: every cross-core seam (per-queue delivery locks and "next due"
+# gates, shared fabric stats) executes under TSan here. This filter includes the sharded
 # tenant suite (ShardGroupTest.ShardedEchoUnderTenantAccountsEveryShard: per-shard tenant
 # registration + TX scheduling while client threads hammer the shared NIC), the
 # shutdown-drain regression (StopWithInflightPopsDrainsTokensAndBuffers), and the

@@ -133,8 +133,9 @@ class EthernetLayer {
   Ipv4Addr local_ip_;
   bool checksum_offload_;
   size_t queue_id_;
-  // Reused RX frame ring, sized to the configured burst: one RxBurst fill per PollOnce
-  // without per-poll stack churn (frames keep their capacity across polls).
+  // RX burst slots, sized to the configured burst: one RxBurst fill per PollOnce. A poll
+  // move-assigns each frame's sender-allocated buffer into its slot, so a slot's previous
+  // buffer is freed, not reused.
   std::vector<WireFrame> rx_frames_;
   ArpCache arp_cache_;
   std::unordered_map<uint32_t, Ipv4Receiver*> receivers_;  // keyed by IpProto

@@ -9,27 +9,20 @@
 
 namespace demi {
 
-namespace {
-// Frames moved wire-heap -> descriptor ring (and ring -> caller) per burst; bounds the stack
-// scratch while keeping the amortized one-fence-per-burst property.
-constexpr size_t kFrameBurst = 32;
-}  // namespace
-
 SimNetwork::SimNetwork(const LinkConfig& link, uint64_t seed) : link_(link), rng_(seed) {}
 SimNetwork::~SimNetwork() = default;
 
-SimNetwork::Port::Port(MacAddr mac, size_t num_queues, size_t queue_capacity) : mac_(mac) {
+SimNetwork::Port::Port(MacAddr mac, size_t num_queues) : mac_(mac) {
   queues_.reserve(num_queues);
   for (size_t i = 0; i < num_queues; i++) {
-    queues_.push_back(std::make_unique<RxQueue>(queue_capacity));
+    queues_.push_back(std::make_unique<RxQueue>());
   }
 }
 
 SimNetwork::Port* SimNetwork::CreatePort(MacAddr mac, size_t num_queues) {
   std::unique_lock<std::shared_mutex> lock(ports_mu_);
-  auto [it, inserted] = ports_.try_emplace(
-      mac.value,
-      std::make_unique<Port>(mac, num_queues == 0 ? 1 : num_queues, link_.rx_queue_frames));
+  auto [it, inserted] =
+      ports_.try_emplace(mac.value, std::make_unique<Port>(mac, num_queues == 0 ? 1 : num_queues));
   if (!inserted) {
     return nullptr;
   }
@@ -145,7 +138,7 @@ void SimNetwork::DeliverToPort(Port* port, WireFrame frame, TimeNs deliver_at) {
     stats_.port_lock_contention.fetch_add(1, std::memory_order_relaxed);
     lock.lock();
   }
-  if (q.inbound.size() + q.ring.SizeApprox() >= link_.rx_queue_frames) {
+  if (q.inbound.size() >= link_.rx_queue_frames) {
     // demilint: atomic(relaxed stats bump; see AtomicStats in the header)
     stats_.frames_dropped_queue.fetch_add(1, std::memory_order_relaxed);
     return;
@@ -154,6 +147,9 @@ void SimNetwork::DeliverToPort(Port* port, WireFrame frame, TimeNs deliver_at) {
   // frame itself is published by q.mu, held here)
   q.inbound.push(PendingFrame{deliver_at, next_seq_.fetch_add(1, std::memory_order_relaxed),
                               std::move(frame)});
+  // A frame due earlier than the old top lowers the gate.
+  // demilint: atomic(gate store under q.mu; see RxQueue::next_due)
+  q.next_due.store(q.inbound.top().deliver_at, std::memory_order_relaxed);
 }
 
 SimNetwork::Stats SimNetwork::GetStats() const {
@@ -207,16 +203,9 @@ TimeNs SimNetwork::NextDeliveryTime() const {
   TimeNs earliest = 0;
   for (const auto& [mac, port] : ports_) {
     for (const auto& q : port->queues_) {
-      TimeNs t = 0;
-      // Matured-but-unpolled frames keep their original timestamps in the descriptor ring.
-      if (const PendingFrame* front = q->ring.Front(); front != nullptr) {
-        t = front->deliver_at;
-      }
-      std::lock_guard<std::mutex> lock(q->mu);
-      if (!q->inbound.empty() && (t == 0 || q->inbound.top().deliver_at < t)) {
-        t = q->inbound.top().deliver_at;
-      }
-      if (t != 0 && (earliest == 0 || t < earliest)) {
+      // demilint: atomic(single-threaded caller; the gate mirrors the heap top exactly)
+      const TimeNs t = q->next_due.load(std::memory_order_relaxed);
+      if (t != Port::kNeverDue && t != 0 && (earliest == 0 || t < earliest)) {
         earliest = t;
       }
     }
@@ -224,71 +213,24 @@ TimeNs SimNetwork::NextDeliveryTime() const {
   return earliest;
 }
 
-void SimNetwork::Port::MatureLocked(RxQueue& q, TimeNs now) {
-  PendingFrame batch[kFrameBurst];
-  while (!q.inbound.empty() && q.inbound.top().deliver_at <= now) {
-    size_t n = 0;
-    while (n < kFrameBurst && !q.inbound.empty() && q.inbound.top().deliver_at <= now) {
-      batch[n++] = std::move(const_cast<PendingFrame&>(q.inbound.top()));
-      q.inbound.pop();
-    }
-    const size_t pushed = q.ring.PushBurst(std::span<PendingFrame>(batch, n));
-    if (pushed < n) {
-      // Ring full (can't normally happen: ring capacity >= the taildrop bound). Put the
-      // remainder back rather than dropping frames that already survived the link model.
-      for (size_t i = pushed; i < n; i++) {
-        q.inbound.push(std::move(batch[i]));
-      }
-      return;
-    }
-  }
-}
-
-size_t SimNetwork::Port::DrainRing(RxQueue& q, std::span<WireFrame> out) {
-  PendingFrame batch[kFrameBurst];
-  size_t total = 0;
-  while (total < out.size()) {
-    const size_t want = std::min(out.size() - total, kFrameBurst);
-    const size_t got = q.ring.PopBurst(std::span<PendingFrame>(batch, want));
-    if (got == 0) {
-      break;
-    }
-    for (size_t i = 0; i < got; i++) {
-      out[total + i] = std::move(batch[i].data);
-    }
-    total += got;
-  }
-  return total;
-}
-
 size_t SimNetwork::Port::PollQueue(size_t queue, std::span<WireFrame> out, TimeNs now) {
   DEMI_DCHECK(queue < queues_.size());
   RxQueue& q = *queues_[queue];
-  // Fast path: matured descriptors already on the ring satisfy the whole burst without the
-  // timing-stage lock.
-  size_t n = DrainRing(q, out);
-  if (n == out.size()) {
-    return n;
+  // demilint: atomic(lock-free empty poll: the frames are published by q.mu, which the slow
+  // path takes, so a stale gate only defers a due frame to the next poll)
+  if (q.next_due.load(std::memory_order_relaxed) > now) {
+    return 0;
   }
-  {
-    std::lock_guard<std::mutex> lock(q.mu);
-    MatureLocked(q, now);
+  std::lock_guard<std::mutex> lock(q.mu);
+  size_t n = 0;
+  while (n < out.size() && !q.inbound.empty() && q.inbound.top().deliver_at <= now) {
+    out[n++] = std::move(const_cast<PendingFrame&>(q.inbound.top()).data);
+    q.inbound.pop();
   }
-  n += DrainRing(q, out.subspan(n));
+  const TimeNs next_due = q.inbound.empty() ? kNeverDue : q.inbound.top().deliver_at;
+  // demilint: atomic(gate store under q.mu; see RxQueue::next_due)
+  q.next_due.store(next_due, std::memory_order_relaxed);
   return n;
-}
-
-bool SimNetwork::Port::HasDeliverable(TimeNs now) const {
-  for (const auto& q : queues_) {
-    if (!q->ring.EmptyApprox()) {
-      return true;
-    }
-    std::lock_guard<std::mutex> lock(q->mu);
-    if (!q->inbound.empty() && q->inbound.top().deliver_at <= now) {
-      return true;
-    }
-  }
-  return false;
 }
 
 SimNic::SimNic(SimNetwork& network, MacAddr mac, Clock& clock, size_t num_queues)

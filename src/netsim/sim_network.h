@@ -9,9 +9,10 @@
 // Ports carry N rx/tx queue pairs (like a multi-queue PMD): at frame-delivery time the fabric
 // computes the Toeplitz RSS hash of the IPv4/port 4-tuple (src/netsim/rss.h) and enqueues the
 // frame on the matching rx queue, so every flow is pinned to one queue and one polling shard.
-// Each rx queue is two-staged: a timing heap ordered by simulated delivery time (the "wire"),
-// drained in bursts into an SPSC descriptor ring (the "device") that the owning shard pops
-// lock-free. N=1 preserves the single-queue behaviour byte for byte.
+// Each rx queue is one timing heap ordered by simulated delivery time, guarded by the queue's
+// lock, plus an atomic "next due" time mirroring the heap top: a poll with nothing due reads
+// that one word and takes no lock; otherwise it pops the due frames straight into the
+// caller's burst. N=1 preserves the single-queue behaviour byte for byte.
 //
 // The fabric connects ports by MAC address and models per-link one-way latency, serialization
 // delay (line rate), loss, reordering and duplication. Frame delivery takes only per-port and
@@ -24,6 +25,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -35,7 +37,6 @@
 
 #include "src/common/clock.h"
 #include "src/common/random.h"
-#include "src/common/spsc_ring.h"
 #include "src/common/status.h"
 #include "src/memory/dma.h"
 #include "src/net/address.h"
@@ -170,18 +171,14 @@ class SimNetwork {
   // each queue must be polled by at most one thread (its shard), like a real descriptor ring.
   class Port {
    public:
-    Port(MacAddr mac, size_t num_queues, size_t queue_capacity);
+    Port(MacAddr mac, size_t num_queues);
 
     // Pops up to `out.size()` frames from queue 0 (single-queue compatibility form).
     size_t Poll(std::span<WireFrame> out, TimeNs now) { return PollQueue(0, out, now); }
 
-    // Pops up to `out.size()` frames whose delivery time has arrived from one rx queue.
-    // Matured frames move wire-heap -> descriptor ring in bursts (one fence per burst) and
-    // repeat polls drain the ring without touching the timing lock at all.
+    // Pops up to `out.size()` frames whose delivery time has arrived from one rx queue, in
+    // (deliver_at, seq) order. A poll with nothing due is one atomic load and takes no lock.
     size_t PollQueue(size_t queue, std::span<WireFrame> out, TimeNs now);
-
-    // True if any queue could deliver a frame at `now` (cheap peek).
-    bool HasDeliverable(TimeNs now) const;
 
     MacAddr mac() const { return mac_; }
     size_t num_queues() const { return queues_.size(); }
@@ -189,19 +186,17 @@ class SimNetwork {
    private:
     friend class SimNetwork;
 
+    static constexpr TimeNs kNeverDue = std::numeric_limits<TimeNs>::max();
+
     struct RxQueue {
-      explicit RxQueue(size_t capacity) : ring(capacity) {}
-      mutable std::mutex mu;  // guards `inbound` (the in-flight timing stage)
+      std::mutex mu;  // guards `inbound`; the only writer of `next_due` holds it
       std::priority_queue<PendingFrame, std::vector<PendingFrame>, std::greater<PendingFrame>>
           inbound;
-      SpscRing<PendingFrame> ring;  // matured frames; consumer = the owning shard, lock-free
+      // demilint: atomic(lock-free poll gate: the heap top's deliver_at, or kNeverDue when
+      // empty, stored only under `mu`; frames themselves are published by `mu`, so a stale
+      // read only defers a frame to the next poll)
+      std::atomic<TimeNs> next_due{kNeverDue};
     };
-
-    // Moves every frame whose deliver_at has passed from `q.inbound` into the ring in bursts.
-    // Caller holds q.mu.
-    static void MatureLocked(RxQueue& q, TimeNs now);
-    // Pops up to out.size() matured frames off the descriptor ring (no lock).
-    static size_t DrainRing(RxQueue& q, std::span<WireFrame> out);
 
     MacAddr mac_;
     std::vector<std::unique_ptr<RxQueue>> queues_;

@@ -1,16 +1,14 @@
-// Unit tests for src/common: Result, bit ops, SPSC ring, clocks, RNG, histogram.
+// Unit tests for src/common: Result, bit ops, clocks, RNG, histogram.
 
 #include <gtest/gtest.h>
 
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/common/bitops.h"
 #include "src/common/clock.h"
 #include "src/common/histogram.h"
 #include "src/common/random.h"
-#include "src/common/spsc_ring.h"
 #include "src/common/status.h"
 
 namespace demi {
@@ -80,122 +78,6 @@ TEST(BitopsTest, PowerOfTwoHelpers) {
   EXPECT_FALSE(IsPowerOfTwo(48));
   EXPECT_EQ(NextPowerOfTwo(3), 4u);
   EXPECT_EQ(NextPowerOfTwo(64), 64u);
-}
-
-TEST(SpscRingTest, PushPopSingleThread) {
-  SpscRing<int> ring(4);
-  EXPECT_EQ(ring.Pop(), std::nullopt);
-  EXPECT_TRUE(ring.Push(1));
-  EXPECT_TRUE(ring.Push(2));
-  EXPECT_EQ(ring.Pop(), 1);
-  EXPECT_EQ(ring.Pop(), 2);
-  EXPECT_EQ(ring.Pop(), std::nullopt);
-}
-
-TEST(SpscRingTest, FillsToCapacity) {
-  SpscRing<int> ring(4);
-  for (int i = 0; i < 4; i++) {
-    EXPECT_TRUE(ring.Push(i));
-  }
-  EXPECT_FALSE(ring.Push(99));
-  EXPECT_EQ(ring.Pop(), 0);
-  EXPECT_TRUE(ring.Push(99));
-}
-
-TEST(SpscRingTest, FrontPeeks) {
-  SpscRing<int> ring(4);
-  EXPECT_EQ(ring.Front(), nullptr);
-  ring.Push(5);
-  ASSERT_NE(ring.Front(), nullptr);
-  EXPECT_EQ(*ring.Front(), 5);
-  EXPECT_EQ(ring.SizeApprox(), 1u);
-}
-
-TEST(SpscRingTest, PushBurstMovesWhatFits) {
-  SpscRing<int> ring(4);
-  int first[3] = {1, 2, 3};
-  EXPECT_EQ(ring.PushBurst(std::span<int>(first, 3)), 3u);
-  int second[3] = {4, 5, 6};
-  EXPECT_EQ(ring.PushBurst(std::span<int>(second, 3)), 1u);  // only one slot left
-  EXPECT_EQ(ring.SizeApprox(), 4u);
-  for (int want = 1; want <= 4; want++) {
-    EXPECT_EQ(ring.Pop(), want);
-  }
-  EXPECT_EQ(ring.Pop(), std::nullopt);
-}
-
-TEST(SpscRingTest, PopBurstDrainsInOrder) {
-  SpscRing<int> ring(8);
-  for (int i = 0; i < 5; i++) {
-    ASSERT_TRUE(ring.Push(i));
-  }
-  int out[8] = {};
-  EXPECT_EQ(ring.PopBurst(std::span<int>(out, 3)), 3u);
-  EXPECT_EQ(out[0], 0);
-  EXPECT_EQ(out[2], 2);
-  EXPECT_EQ(ring.PopBurst(std::span<int>(out, 8)), 2u);  // partial: only 2 left
-  EXPECT_EQ(out[0], 3);
-  EXPECT_EQ(out[1], 4);
-  EXPECT_EQ(ring.PopBurst(std::span<int>(out, 8)), 0u);
-  // Bursts interoperate with scalar ops across wraparound.
-  for (int round = 0; round < 10; round++) {
-    int vals[3] = {round, round + 100, round + 200};
-    ASSERT_EQ(ring.PushBurst(std::span<int>(vals, 3)), 3u);
-    ASSERT_EQ(ring.Pop(), round);
-    ASSERT_EQ(ring.PopBurst(std::span<int>(out, 8)), 2u);
-    ASSERT_EQ(out[0], round + 100);
-    ASSERT_EQ(out[1], round + 200);
-  }
-}
-
-TEST(SpscRingTest, CrossThreadBurstTransfersEverything) {
-  SpscRing<uint64_t> ring(256);
-  constexpr uint64_t kCount = 200'000;
-  std::thread producer([&] {
-    uint64_t next = 0;
-    while (next < kCount) {
-      uint64_t batch[32];
-      const uint64_t n = std::min<uint64_t>(32, kCount - next);
-      for (uint64_t i = 0; i < n; i++) {
-        batch[i] = next + i;
-      }
-      next += ring.PushBurst(std::span<uint64_t>(batch, n));
-      // Unpushed tail values are regenerated next round from `next`.
-    }
-  });
-  uint64_t expected = 0;
-  uint64_t out[64];
-  while (expected < kCount) {
-    const size_t n = ring.PopBurst(std::span<uint64_t>(out, 64));
-    for (size_t i = 0; i < n; i++) {
-      ASSERT_EQ(out[i], expected);
-      expected++;
-    }
-  }
-  producer.join();
-  EXPECT_TRUE(ring.EmptyApprox());
-}
-
-TEST(SpscRingTest, CrossThreadTransfersEverything) {
-  SpscRing<uint64_t> ring(256);
-  constexpr uint64_t kCount = 200'000;
-  std::thread producer([&] {
-    for (uint64_t i = 0; i < kCount;) {
-      if (ring.Push(i)) {
-        i++;
-      }
-    }
-  });
-  uint64_t expected = 0;
-  while (expected < kCount) {
-    auto v = ring.Pop();
-    if (v) {
-      ASSERT_EQ(*v, expected);
-      expected++;
-    }
-  }
-  producer.join();
-  EXPECT_TRUE(ring.EmptyApprox());
 }
 
 TEST(ClockTest, MonotonicAdvances) {

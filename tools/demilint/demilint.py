@@ -43,8 +43,9 @@ invariants the compiler cannot see:
                      build trees and the selftest fixtures are not scanned).
   doc-path           every backticked repo path in a *.md file (a token whose first segment
                      is a top-level repo directory; `:line` suffixes dropped, every `{a,b}`
-                     group expanded) exists. Same files as md-link except CHANGES.md and
-                     ROADMAP.md, which name deleted and planned files on purpose.
+                     group expanded) exists. Same files as md-link except CHANGES.md,
+                     ROADMAP.md and ISSUE.md, which name deleted and planned files on
+                     purpose.
 
 Region and suppression directives (in source comments):
 
@@ -549,7 +550,7 @@ def run_lint(root):
     md_files = list(iter_markdown(root))
     for path, rel, text in md_files:
         diags.extend(lint_markdown(path, rel, text, root))
-        if rel not in ("CHANGES.md", "ROADMAP.md"):
+        if rel not in ("CHANGES.md", "ROADMAP.md", "ISSUE.md"):
             diags.extend(lint_doc_paths(rel, text, root))
     for d in diags:
         print(d)
