@@ -43,9 +43,10 @@ invariants the compiler cannot see:
                      build trees and the selftest fixtures are not scanned).
   doc-path           every backticked repo path in a *.md file (a token whose first segment
                      is a top-level repo directory; `:line` suffixes dropped, every `{a,b}`
-                     group expanded) exists. Same files as md-link except CHANGES.md,
-                     ROADMAP.md and ISSUE.md, which name deleted and planned files on
-                     purpose.
+                     group expanded) exists. Checked in markdown under a subdirectory and
+                     in the top-level README.md, DESIGN.md and EXPERIMENTS.md; the other
+                     top-level documents (change log, roadmap, plans, paper notes) name
+                     deleted, planned and external files on purpose.
 
 Region and suppression directives (in source comments):
 
@@ -490,6 +491,11 @@ def expand_braces(token):
             for path in expand_braces(token[:brace.start()] + alt + token[brace.end():])]
 
 
+# Top-level documents that describe the current tree; doc-path checks these and every
+# markdown file under a subdirectory.
+TREE_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+
+
 def lint_doc_paths(rel, text, root):
     """doc-path: each backticked token whose first segment is a top-level directory of `root`
     must exist under `root`. Commands (whitespace), globs and placeholders are not paths."""
@@ -550,7 +556,7 @@ def run_lint(root):
     md_files = list(iter_markdown(root))
     for path, rel, text in md_files:
         diags.extend(lint_markdown(path, rel, text, root))
-        if rel not in ("CHANGES.md", "ROADMAP.md", "ISSUE.md"):
+        if "/" in rel or rel in TREE_DOCS:
             diags.extend(lint_doc_paths(rel, text, root))
     for d in diags:
         print(d)
