@@ -317,7 +317,9 @@ uint64_t EchoOnce(BenchState& st, size_t flow) {
     std::abort();
   }
 
-  // Ack the echo so the server's retransmit timer disarms and the flow goes fully idle again.
+  // Ack the echo so the server's retransmit deadline clears and the flow goes idle again. Its
+  // one wheel entry stays armed at the cleared deadline (and would fire once, doing nothing),
+  // because virtual time here never reaches timer deadlines.
   TcpHeader ack;
   ack.src_port = FlowPort(flow);
   ack.dst_port = kServerPort;

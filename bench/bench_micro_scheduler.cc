@@ -148,7 +148,7 @@ void BM_SpawnRunTeardown(benchmark::State& state) {
 }
 BENCHMARK(BM_SpawnRunTeardown);
 
-// Timer arming + firing through the scheduler's timer heap.
+// Timer arming + firing through the scheduler's timing wheel.
 void BM_TimerFire(benchmark::State& state) {
   VirtualClock clock;
   Scheduler sched(clock);

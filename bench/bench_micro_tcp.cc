@@ -258,7 +258,8 @@ void BM_TcpSmallMsgBurst(benchmark::State& state) {
 BENCHMARK(BM_TcpSmallMsgBurst)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 // --quick perf smoke for ctest: sustained in-order segment rounds for a fixed wall-time
-// budget, measured in TCP segments processed per second (data + acks, client's view).
+// budget, measured in TCP segments processed per second (data + acks, client's view), with
+// the timing-wheel arms+cancels both stacks spent per segment beside it.
 // Fails (exit 1) only if throughput regresses more than 2x below the checked-in floor, so
 // machine-to-machine variance doesn't flake CI while order-of-magnitude datapath regressions
 // (e.g. an accidental O(n) scan per segment) are caught.
@@ -282,8 +283,16 @@ int RunQuickPerfSmoke() {
   for (int i = 0; i < 256; i++) {
     round();  // warmup: ARP, cwnd growth, allocator pools
   }
+  const auto wheel_ops = [&fx] {
+    uint64_t ops = 0;
+    for (const Scheduler* sched : {&fx.a_sched, &fx.b_sched}) {
+      ops += sched->timer_wheel().stats().arms + sched->timer_wheel().stats().cancels;
+    }
+    return ops;
+  };
   const uint64_t segs_before =
       fx.client->conn_stats().segments_sent + fx.client->conn_stats().segments_received;
+  const uint64_t wheel_ops_before = wheel_ops();
   const auto t0 = std::chrono::steady_clock::now();
   double elapsed = 0;
   do {
@@ -295,8 +304,12 @@ int RunQuickPerfSmoke() {
   const uint64_t segs =
       fx.client->conn_stats().segments_sent + fx.client->conn_stats().segments_received - segs_before;
   const double pps = static_cast<double>(segs) / elapsed;
+  const double wheel_ops_per_seg =
+      static_cast<double>(wheel_ops() - wheel_ops_before) / static_cast<double>(segs);
   std::printf("perf-smoke: %.0f TCP segments/sec (floor %.0f, gate = floor/2 = %.0f)\n", pps,
               kSegmentsPerSecFloor, kSegmentsPerSecFloor / 2);
+  std::printf("perf-smoke: %.3f timer-wheel arms+cancels per segment (client + server)\n",
+              wheel_ops_per_seg);
   if (pps < kSegmentsPerSecFloor / 2) {
     std::fprintf(stderr,
                  "perf-smoke FAILED: %.0f segments/sec is >2x below the checked-in floor %.0f\n",

@@ -48,11 +48,10 @@ TcpConnection::TcpConnection(TcpStack& stack, SocketAddress local, SocketAddress
 }
 
 TcpConnection::~TcpConnection() {
-  // An application-held connection can outlive the stack; EnterClosed already cancelled every
-  // timer then, so only touch the scheduler if something is still armed.
-  if (hot_.retx_timer != kInvalidTimerId || hot_.ack_timer != kInvalidTimerId ||
-      hot_.state_timer != kInvalidTimerId) {
-    CancelAllTimers();
+  // An application-held connection can outlive the stack; EnterClosed already cancelled the
+  // wheel entry then, so only touch the scheduler if it is still armed.
+  if (hot_.timer != kInvalidTimerId) {
+    stack_.scheduler().CancelTimer(hot_.timer);
   }
 }
 
@@ -95,75 +94,47 @@ uint16_t TcpConnection::AdvertisedWindow() const {
 
 // --- Timer plumbing -------------------------------------------------------------
 
-void TcpConnection::RetxTimerCb(void* ctx, uint64_t /*arg*/) {
-  auto* conn = static_cast<TcpConnection*>(ctx);
-  conn->hot_.retx_timer = kInvalidTimerId;  // this entry just fired
-  conn->OnRetxTimer(conn->stack_.clock().Now());
-}
-
-void TcpConnection::AckTimerCb(void* ctx, uint64_t /*arg*/) {
-  auto* conn = static_cast<TcpConnection*>(ctx);
-  conn->hot_.ack_timer = kInvalidTimerId;
-  conn->OnAckTimer(conn->stack_.clock().Now());
-}
-
-void TcpConnection::StateTimerCb(void* ctx, uint64_t /*arg*/) {
-  auto* conn = static_cast<TcpConnection*>(ctx);
-  conn->hot_.state_timer = kInvalidTimerId;
-  conn->OnStateTimer(conn->stack_.clock().Now());
-}
-
-void TcpConnection::ReschedRetx() {
+void TcpConnection::SyncTimer() {
+  if (hot_.state == TcpState::kClosed) {
+    return;  // EnterClosed cancelled the entry for good
+  }
+  TimeNs due = std::min(hot_.ack_at, hot_.state_at);
+  if (cold_ != nullptr && !cold_->inflight.empty()) {
+    due = std::min(due, cold_->inflight.front().rto_deadline);
+  }
+  if (due >= hot_.timer_at) {
+    return;  // armed no later than the earliest deadline (or nothing is due at all)
+  }
   Scheduler& sched = stack_.scheduler();
-  if (hot_.retx_timer != kInvalidTimerId) {
-    sched.CancelTimer(hot_.retx_timer);
-    hot_.retx_timer = kInvalidTimerId;
+  if (hot_.timer != kInvalidTimerId) {
+    sched.CancelTimer(hot_.timer);
   }
-  if (hot_.state != TcpState::kClosed && cold_ != nullptr && !cold_->inflight.empty()) {
-    hot_.retx_timer =
-        sched.ArmTimer(cold_->inflight.front().rto_deadline, &RetxTimerCb, this, 0);
-  }
+  hot_.timer = sched.ArmTimer(due, &OnTimer, this, 0);
+  hot_.timer_at = due;
 }
 
-void TcpConnection::ArmAckTimer(TimeNs deadline) {
-  Scheduler& sched = stack_.scheduler();
-  if (hot_.ack_timer != kInvalidTimerId) {
-    sched.CancelTimer(hot_.ack_timer);
+void TcpConnection::OnTimer(void* ctx, uint64_t /*arg*/) {
+  auto* conn = static_cast<TcpConnection*>(ctx);
+  HotState& hot = conn->hot_;
+  hot.timer = kInvalidTimerId;  // this entry just fired
+  hot.timer_at = kNever;
+  const TimeNs now = conn->stack_.clock().Now();
+  // The entry may have fired for a deadline that has since moved later or been cleared, so
+  // each handler runs only if its own deadline is due. A handler that closes the connection
+  // clears every deadline (EnterClosed), which skips the rest and leaves the entry disarmed.
+  if (hot.ack_at <= now) {
+    hot.ack_at = kNever;
+    conn->OnAckTimer();
   }
-  hot_.ack_timer = sched.ArmTimer(deadline, &AckTimerCb, this, 0);
-}
-
-void TcpConnection::CancelAckTimer() {
-  if (hot_.ack_timer != kInvalidTimerId) {
-    stack_.scheduler().CancelTimer(hot_.ack_timer);
-    hot_.ack_timer = kInvalidTimerId;
+  ColdState* cold = conn->cold_.get();
+  if (cold != nullptr && !cold->inflight.empty() && cold->inflight.front().rto_deadline <= now) {
+    conn->OnRetxTimer(now);
   }
-}
-
-void TcpConnection::ArmStateTimer(StateTimerKind kind, TimeNs deadline) {
-  Scheduler& sched = stack_.scheduler();
-  if (hot_.state_timer != kInvalidTimerId) {
-    sched.CancelTimer(hot_.state_timer);
+  if (hot.state_at <= now) {
+    hot.state_at = kNever;
+    conn->OnStateTimer(now);
   }
-  hot_.state_timer = sched.ArmTimer(deadline, &StateTimerCb, this, 0);
-  hot_.state_timer_kind = kind;
-}
-
-void TcpConnection::CancelStateTimer() {
-  if (hot_.state_timer != kInvalidTimerId) {
-    stack_.scheduler().CancelTimer(hot_.state_timer);
-    hot_.state_timer = kInvalidTimerId;
-  }
-  hot_.state_timer_kind = StateTimerKind::kNone;
-}
-
-void TcpConnection::CancelAllTimers() {
-  if (hot_.retx_timer != kInvalidTimerId) {
-    stack_.scheduler().CancelTimer(hot_.retx_timer);
-    hot_.retx_timer = kInvalidTimerId;
-  }
-  CancelAckTimer();
-  CancelStateTimer();
+  conn->SyncTimer();
 }
 
 void TcpConnection::MaybeArmPersist(TimeNs now) {
@@ -176,23 +147,20 @@ void TcpConnection::MaybeArmPersist(TimeNs now) {
   if (need) {
     if (hot_.state_timer_kind != StateTimerKind::kPersist) {
       // Zero-window persist (RFC 1122 4.2.2.17): wait an RTO, then force a 1-byte probe.
-      ArmStateTimer(StateTimerKind::kPersist, now + rtt_.rto());
+      hot_.state_timer_kind = StateTimerKind::kPersist;
+      hot_.state_at = now + rtt_.rto();
+      SyncTimer();
     }
   } else if (hot_.state_timer_kind == StateTimerKind::kPersist) {
-    CancelStateTimer();
+    hot_.state_timer_kind = StateTimerKind::kNone;
+    hot_.state_at = kNever;
   }
 }
 
 void TcpConnection::OnRetxTimer(TimeNs now) {
-  if (hot_.state == TcpState::kClosed || cold_ == nullptr || cold_->inflight.empty()) {
-    return;
-  }
+  // inflight.front()'s RTO is due (OnTimer checked).
   InflightSegment& front = cold_->inflight.front();
-  if (front.rto_deadline > now) {
-    ReschedRetx();  // deadline was refreshed after this entry was armed
-    return;
-  }
-  // RTO fired. A zero-window stall is a *persist* situation, not a dead peer: keep probing
+  // A zero-window stall is a *persist* situation, not a dead peer: keep probing
   // without counting toward the abort limit (RFC 1122 4.2.2.17 — the connection stays open
   // as long as the receiver keeps acking).
   if (hot_.snd_wnd != 0) {
@@ -212,10 +180,9 @@ void TcpConnection::OnRetxTimer(TimeNs now) {
   cold_->stats.retransmits++;
   stack_.TraceRetransmit(local_.port, front.seq);
   cold_->cc->OnTimeout(now);
-  ReschedRetx();
 }
 
-void TcpConnection::OnAckTimer(TimeNs /*now*/) {
+void TcpConnection::OnAckTimer() {
   if (hot_.state == TcpState::kClosed || !hot_.ack_needed) {
     return;  // piggybacked away or the connection died; nothing to do
   }
@@ -235,7 +202,7 @@ void TcpConnection::OnStateTimer(TimeNs now) {
         return;
       }
       hot_.hs_attempts++;
-      if (hot_.hs_attempts > cfg.max_syn_retries) {
+      if (hot_.hs_attempts > kTcpMaxSynRetries) {
         EnterClosed(Status::kTimedOut);
         return;
       }
@@ -247,7 +214,8 @@ void TcpConnection::OnStateTimer(TimeNs now) {
       }
       stack_.TraceRetransmit(local_.port, iss_);
       const unsigned shift = std::min<unsigned>(hot_.hs_attempts, 16);
-      ArmStateTimer(StateTimerKind::kConnectRetry, now + (cfg.initial_rto << shift));
+      hot_.state_timer_kind = StateTimerKind::kConnectRetry;
+      hot_.state_at = now + (cfg.initial_rto << shift);
       return;
     }
     case StateTimerKind::kSynAckRetry: {
@@ -255,7 +223,7 @@ void TcpConnection::OnStateTimer(TimeNs now) {
         return;
       }
       hot_.hs_attempts++;
-      if (hot_.hs_attempts > cfg.max_syn_retries) {
+      if (hot_.hs_attempts > kTcpMaxSynRetries) {
         EnterClosed(Status::kTimedOut);
         return;
       }
@@ -268,7 +236,8 @@ void TcpConnection::OnStateTimer(TimeNs now) {
       }
       stack_.TraceRetransmit(local_.port, iss_);
       const unsigned shift = std::min<unsigned>(hot_.hs_attempts, 16);
-      ArmStateTimer(StateTimerKind::kSynAckRetry, now + (cfg.initial_rto << shift));
+      hot_.state_timer_kind = StateTimerKind::kSynAckRetry;
+      hot_.state_at = now + (cfg.initial_rto << shift);
       return;
     }
     case StateTimerKind::kPersist: {
@@ -291,7 +260,6 @@ void TcpConnection::OnStateTimer(TimeNs now) {
         cold_->bytes_inflight += 1;
         SendDataSegment(seg, now);
         cold_->inflight.push_back(std::move(seg));
-        ReschedRetx();
       }
       return;
     }
@@ -408,8 +376,9 @@ void TcpConnection::StartActiveOpen() {
     stack_.CountTxError();  // the retry timer below resends the SYN
   }
   hot_.hs_attempts = 0;
-  ArmStateTimer(StateTimerKind::kConnectRetry,
-                stack_.clock().Now() + stack_.config().initial_rto);
+  hot_.state_timer_kind = StateTimerKind::kConnectRetry;
+  hot_.state_at = stack_.clock().Now() + stack_.config().initial_rto;
+  SyncTimer();
 }
 
 void TcpConnection::StartPassiveOpen(const TcpHeader& syn, TcpListener* listener) {
@@ -439,8 +408,9 @@ void TcpConnection::StartPassiveOpen(const TcpHeader& syn, TcpListener* listener
     stack_.CountTxError();  // the retry timer below resends the SYN-ACK
   }
   hot_.hs_attempts = 0;
-  ArmStateTimer(StateTimerKind::kSynAckRetry,
-                stack_.clock().Now() + stack_.config().initial_rto);
+  hot_.state_timer_kind = StateTimerKind::kSynAckRetry;
+  hot_.state_at = stack_.clock().Now() + stack_.config().initial_rto;
+  SyncTimer();
 }
 
 void TcpConnection::CompleteCookieOpen(const TcpHeader& ack, const SynCookies::SynOptions& opts) {
@@ -463,7 +433,7 @@ void TcpConnection::CompleteCookieOpen(const TcpHeader& ack, const SynCookies::S
       hot_.ts_recent_valid = true;
     }
   }
-  // Deliberately hot-only: no cold state, no timers. Everything else materializes on first
+  // Deliberately hot-only: no cold state, no deadlines. Everything else materializes on first
   // data (ProcessData/Push) — a floods-worth of idle accepted connections stays at one slab
   // slot plus one flow-table entry each.
 }
@@ -537,7 +507,7 @@ void TcpConnection::SendDataSegment(InflightSegment& seg, TimeNs now) {
   hot_.ack_needed = false;
   hot_.ack_immediate = false;
   hot_.full_segs_since_ack = 0;
-  CancelAckTimer();
+  hot_.ack_at = kNever;
 }
 
 void TcpConnection::TrySend(TimeNs now) {
@@ -603,7 +573,7 @@ void TcpConnection::TrySend(TimeNs now) {
     sent_any = true;
   }
   if (sent_any) {
-    ReschedRetx();
+    SyncTimer();
   }
 }
 
@@ -616,7 +586,6 @@ void TcpConnection::ScheduleAck() {
   // Newly needed, or escalating an armed delayed ack.
   hot_.ack_needed = true;
   hot_.ack_immediate = true;
-  CancelAckTimer();
   if (stack_.in_burst_) {
     // Coalesce within the RX burst: one pure ack per connection at burst end, however many
     // segments this burst delivered.
@@ -625,9 +594,10 @@ void TcpConnection::ScheduleAck() {
       stack_.pending_ack_conns_.push_back(this);
     }
   } else {
-    // Outside a burst (application-side window updates): a past-deadline wheel entry fires on
-    // the next poll, batching repeated schedules from the same poll round into one ack.
-    ArmAckTimer(stack_.clock().Now());
+    // Outside a burst (application-side window updates): a deadline of now fires on the next
+    // poll, batching repeated schedules from the same poll round into one ack.
+    hot_.ack_at = stack_.clock().Now();
+    SyncTimer();
   }
 }
 
@@ -641,22 +611,18 @@ void TcpConnection::ScheduleDelayedAck(TimeNs now) {
   }
   hot_.ack_needed = true;
   hot_.ack_immediate = false;
-  ArmAckTimer(now + DelayedAckTimeout());
+  hot_.ack_at = now + kTcpDelayedAckTimeout;
+  SyncTimer();
 }
 
 void TcpConnection::SendPureAck() {
   hot_.ack_needed = false;
   hot_.ack_immediate = false;
   hot_.full_segs_since_ack = 0;
-  CancelAckTimer();
+  hot_.ack_at = kNever;
   if (SendControl(TcpFlags{.ack = true}, hot_.snd_nxt, /*with_options=*/false) != Status::kOk) {
     stack_.CountTxError();  // a lost pure ack is recovered by the peer's retransmit
   }
-}
-
-DurationNs TcpConnection::DelayedAckTimeout() const {
-  // RFC 1122 4.2.3.2 hard cap: never hold an ack longer than 500 ms, whatever the config says.
-  return std::min<DurationNs>(stack_.config().delayed_ack_timeout, 500 * kMillisecond);
 }
 
 // --- Segment RX ------------------------------------------------------------------
@@ -706,7 +672,8 @@ void TcpConnection::OnSegment(const TcpHeader& hdr, std::span<const uint8_t> pay
       }
       hot_.snd_wnd = hdr.window;  // unscaled on SYN
       hot_.state = TcpState::kEstablished;
-      CancelStateTimer();  // connect-retry no longer needed
+      hot_.state_timer_kind = StateTimerKind::kNone;  // connect-retry no longer needed
+      hot_.state_at = kNever;
       if (SendControl(TcpFlags{.ack = true}, hot_.snd_nxt, /*with_options=*/false) !=
           Status::kOk) {
         stack_.CountTxError();  // peer's SYN-ACK retransmit re-triggers this ack
@@ -725,7 +692,8 @@ void TcpConnection::OnSegment(const TcpHeader& hdr, std::span<const uint8_t> pay
       hot_.snd_una = SeqNum{hdr.ack};
       hot_.snd_wnd = static_cast<uint32_t>(hdr.window) << hot_.snd_wscale;
       hot_.state = TcpState::kEstablished;
-      CancelStateTimer();  // SYN-ACK retry no longer needed
+      hot_.state_timer_kind = StateTimerKind::kNone;  // SYN-ACK retry no longer needed
+      hot_.state_at = kNever;
       EnsureCold().established.Notify();
       if (pending_listener_ != nullptr) {
         TcpListener* l = pending_listener_;
@@ -841,7 +809,7 @@ void TcpConnection::ProcessAck(const TcpHeader& hdr, bool carries_data, TimeNs n
       hot_.our_fin_acked = true;
       OnOurFinAcked(now);
     }
-    ReschedRetx();
+    SyncTimer();  // the new front's deadline may be earlier than where the entry is armed
   } else if (ack == hot_.snd_una && cold_ != nullptr && !cold_->inflight.empty() &&
              !carries_data && !hdr.flags.syn && !hdr.flags.fin) {
     // A duplicate ack (RFC 5681 §2) carries no data: a peer that sends while our data is in
@@ -858,7 +826,6 @@ void TcpConnection::ProcessAck(const TcpHeader& hdr, bool carries_data, TimeNs n
       stack_.TraceRetransmit(local_.port, seg.seq);
       cold_->cc->OnFastRetransmit(now);
       hot_.dup_acks = 0;
-      ReschedRetx();
     }
   } else if (ack > hot_.snd_una) {
     hot_.snd_una = ack;  // hot-only connection (nothing inflight to reconcile)
@@ -880,7 +847,7 @@ void TcpConnection::ProcessData(const TcpHeader& hdr, std::span<const uint8_t> p
   // Ack policy (RFC 1122 4.2.3.2, RFC 5681 §4.2): in-order sub-threshold data may ride a
   // delayed ack; everything ambiguous or urgent — duplicates (the peer is retransmitting),
   // out-of-order arrivals (dup-ack drives fast retransmit), gap fills, FIN advancement, and
-  // every `ack_every_segments`-th full-sized segment — acks immediately.
+  // every kTcpAckEverySegments-th full-sized segment — acks immediately.
   bool immediate = false;
 
   if (hdr.flags.fin) {
@@ -932,7 +899,7 @@ void TcpConnection::ProcessData(const TcpHeader& hdr, std::span<const uint8_t> p
         if (hot_.full_segs_since_ack < 255) {
           hot_.full_segs_since_ack++;
         }
-        if (hot_.full_segs_since_ack >= stack_.config().ack_every_segments) {
+        if (hot_.full_segs_since_ack >= kTcpAckEverySegments) {
           immediate = true;
         }
       }
@@ -1035,8 +1002,9 @@ void TcpConnection::OnOurFinAcked(TimeNs /*now*/) {
 
 void TcpConnection::EnterTimeWait() {
   hot_.state = TcpState::kTimeWait;
-  CancelStateTimer();  // a pending persist (if any) is moot now
-  ArmStateTimer(StateTimerKind::kTimeWait, stack_.clock().Now() + stack_.config().time_wait);
+  hot_.state_timer_kind = StateTimerKind::kTimeWait;  // replaces a pending persist, if any
+  hot_.state_at = stack_.clock().Now() + kTcpTimeWait;
+  SyncTimer();
 }
 
 void TcpConnection::EnterClosed(Status error) {
@@ -1055,7 +1023,14 @@ void TcpConnection::EnterClosed(Status error) {
       stack_.tenants_->ReleaseAccept(tenant_);
     }
   }
-  CancelAllTimers();
+  if (hot_.timer != kInvalidTimerId) {
+    stack_.scheduler().CancelTimer(hot_.timer);
+    hot_.timer = kInvalidTimerId;
+    hot_.timer_at = kNever;
+  }
+  hot_.ack_at = kNever;
+  hot_.state_at = kNever;
+  hot_.state_timer_kind = StateTimerKind::kNone;
   hot_.ack_needed = false;  // a listed burst-flush entry becomes a no-op
   hot_.ack_immediate = false;
   if (cold_ != nullptr) {
@@ -1317,7 +1292,7 @@ void TcpStack::OnIpv4Packet(const Ipv4Header& ip, std::span<const uint8_t> l4) {
         return;
       }
       if (listener->ready_.size() + listener->syn_rcvd_count_ >= listener->backlog_ ||
-          conns_.size() >= config_.max_syn_backlog + 1024) {
+          conns_.size() >= kTcpMaxSynBacklog + 1024) {
         return;  // backlog full: drop the SYN, client retries
       }
       if (tenants_ != nullptr && !tenants_->TryAdmitAccept(listener->tenant())) {

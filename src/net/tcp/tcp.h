@@ -6,9 +6,10 @@
 //    segments are processed run-to-completion and the blocked application is woken directly.
 //    Demultiplexing goes through an open-addressed flow table (flow_table.h) keyed by the packed
 //    4-tuple — one hash, short linear probes, no per-packet allocation.
-//  - Protocol timers (retransmit, delayed ack, handshake retry / persist / TIME_WAIT) are O(1)
-//    timing-wheel entries (src/runtime/timer_wheel.h), not per-connection coroutines: an idle
-//    established connection owns *zero* fibers and at most three wheel entries.
+//  - Protocol timers (retransmit, delayed ack, handshake retry / persist / TIME_WAIT) are
+//    deadlines kept as fields, served by one O(1) timing-wheel entry per connection
+//    (src/runtime/timer_wheel.h) armed at the earliest of them: an established connection owns
+//    *zero* fibers and at most one wheel entry.
 //  - Connection state is split hot/cold: the first cache line of TcpConnection (HotState) holds
 //    everything a pure-ack round trip touches; queues, reassembly, congestion state and events
 //    (ColdState) are allocated on first use. A cookie-accepted connection that never transfers
@@ -74,7 +75,7 @@ class RttEstimator {
 
  private:
   DurationNs Clamp(DurationNs v) const {
-    return std::min(std::max(v, config_.min_rto), config_.max_rto);
+    return std::min(std::max(v, config_.min_rto), kTcpMaxRto);
   }
   const TcpConfig& config_;
   DurationNs srtt_ = 0;
@@ -197,6 +198,8 @@ class TcpConnection {
  private:
   friend class TcpStack;
 
+  static constexpr TimeNs kNever = ~TimeNs{0};  // a clear deadline
+
   struct InflightSegment {
     SeqNum seq;
     SegmentPayload data;  // empty for bare FIN
@@ -206,8 +209,8 @@ class TcpConnection {
     bool retransmitted = false;
   };
 
-  // What the single state timer is armed for; the kinds are mutually exclusive by TCP state
-  // (handshake retry before ESTABLISHED, persist while established, TIME_WAIT after).
+  // What the state deadline is for; the kinds are mutually exclusive by TCP state (handshake
+  // retry before ESTABLISHED, persist while established, TIME_WAIT after).
   enum class StateTimerKind : uint8_t {
     kNone,
     kConnectRetry,  // active open: SYN retransmission with doubling timeout
@@ -219,9 +222,10 @@ class TcpConnection {
   // The first cache line: every field a pure-ack round trip on an established connection
   // reads or writes (docs/SCALING.md §3 documents the layout and byte budget).
   struct HotState {
-    TimerId retx_timer = kInvalidTimerId;   // RTO for inflight.front()
-    TimerId ack_timer = kInvalidTimerId;    // delayed/pending pure ack
-    TimerId state_timer = kInvalidTimerId;  // handshake retry / persist / TIME_WAIT
+    TimerId timer = kInvalidTimerId;  // the connection's one wheel entry
+    TimeNs timer_at = kNever;         // when `timer` fires; kNever while it is not armed
+    TimeNs ack_at = kNever;           // delayed/pending pure ack
+    TimeNs state_at = kNever;         // handshake retry / persist / TIME_WAIT (state_timer_kind)
     SeqNum snd_una;                         // oldest unacked
     SeqNum snd_nxt;                         // next to send
     SeqNum rcv_nxt;
@@ -288,7 +292,6 @@ class TcpConnection {
   void ScheduleAck();                   // urgent: goes out at burst end or the next poll
   void ScheduleDelayedAck(TimeNs now);  // coalescing: arm (or keep) the delayed-ack deadline
   void SendPureAck();
-  DurationNs DelayedAckTimeout() const;
   uint32_t NowTsval() const;
   void StampTimestamps(TcpHeader* hdr) const;
   void EnterTimeWait();
@@ -300,22 +303,19 @@ class TcpConnection {
   uint16_t AdvertisedWindow() const;
   size_t ReceiveCapacityLeft() const;
 
-  // --- Timer plumbing (the three wheel entries replacing the old per-connection fibers) ---
-  // Re-arms the retransmit timer at inflight.front()'s deadline (cancels it when idle).
-  void ReschedRetx();
-  void ArmAckTimer(TimeNs deadline);
-  void CancelAckTimer();
-  void ArmStateTimer(StateTimerKind kind, TimeNs deadline);
-  void CancelStateTimer();
-  void CancelAllTimers();
-  // Arms (or cancels) the zero-window persist probe after any send-side progress point.
+  // --- Timer plumbing: three deadlines (inflight.front().rto_deadline, ack_at, state_at), one
+  // wheel entry. Setting a deadline or moving it earlier calls SyncTimer; clearing one or
+  // moving it later touches no wheel state: the entry fires at the old time, finds nothing
+  // due and re-arms at the new earliest deadline (RFC 6298 §5.3's lazy restart).
+  // Arms the entry at the earliest deadline if that is earlier than where it is armed now.
+  void SyncTimer();
+  // Sets (or clears) the zero-window persist deadline after any send-side progress point.
   void MaybeArmPersist(TimeNs now);
+  // The wheel callback: runs each due handler in a fixed order, then re-arms.
+  static void OnTimer(void* ctx, uint64_t arg);
+  void OnAckTimer();
   void OnRetxTimer(TimeNs now);
-  void OnAckTimer(TimeNs now);
   void OnStateTimer(TimeNs now);
-  static void RetxTimerCb(void* ctx, uint64_t arg);
-  static void AckTimerCb(void* ctx, uint64_t arg);
-  static void StateTimerCb(void* ctx, uint64_t arg);
 
   uint64_t FlowKey() const;
 

@@ -57,6 +57,27 @@ constexpr std::string_view TcpStateName(TcpState s) {
   return "?";
 }
 
+// Fixed protocol constants.
+
+// RTO backoff ceiling and handshake (SYN / SYN-ACK) retry limit.
+inline constexpr DurationNs kTcpMaxRto = 4 * kSecond;
+inline constexpr int kTcpMaxSynRetries = 6;
+
+// RFC 1122 delayed/coalesced acks: hold a pure ack for up to kTcpDelayedAckTimeout and ack
+// immediately after every kTcpAckEverySegments-th full-sized segment. The timeout is 500 µs —
+// the µs-fabric scaling of RFC 1122's 500 ms cap (same reasoning as the RTO floors below).
+inline constexpr DurationNs kTcpDelayedAckTimeout = 500 * kMicrosecond;
+static_assert(kTcpDelayedAckTimeout <= 500 * kMillisecond,
+              "RFC 1122 4.2.3.2: never hold an ack longer than 500 ms");
+inline constexpr uint32_t kTcpAckEverySegments = 2;
+
+// TIME_WAIT hold (2*MSL); short because the simulated fabric's MSL is tiny.
+inline constexpr DurationNs kTcpTimeWait = 10 * kMillisecond;
+
+// Stateful (non-cookie) SYN admission stops once the stack holds this many connections beyond
+// a 1024-connection base.
+inline constexpr size_t kTcpMaxSynBacklog = 128;
+
 enum class CongestionAlgorithm : uint8_t { kCubic, kNewReno, kFixedWindow };
 
 struct TcpConfig {
@@ -64,22 +85,16 @@ struct TcpConfig {
   // RTTs, so the classical 200 ms floor would stall every loss for an eternity).
   DurationNs initial_rto = 10 * kMillisecond;
   DurationNs min_rto = 1 * kMillisecond;
-  DurationNs max_rto = 4 * kSecond;
-  int max_syn_retries = 6;
   int max_retransmits = 15;
 
   // Receive buffering / flow control.
   size_t recv_buffer_bytes = 1 << 20;
   uint8_t window_scale = 7;  // advertise 2^7 scaling (RFC 7323)
 
-  // RFC 1122 delayed/coalesced acks: hold a pure ack for up to `delayed_ack_timeout`, ack
-  // immediately after every `ack_every_segments`-th full-sized segment, and ack immediately on
-  // out-of-order or window-recovery events. The default timeout is 500 µs — the µs-fabric
-  // scaling of RFC 1122's 500 ms cap (same reasoning as the RTO floors above); values are
-  // clamped to the RFC's hard 500 ms cap.
+  // RFC 1122 delayed/coalesced acks (kTcpDelayedAckTimeout, kTcpAckEverySegments); acks go
+  // out immediately on out-of-order or window-recovery events either way. Off = one ack per
+  // segment (ablation).
   bool delayed_acks = true;
-  DurationNs delayed_ack_timeout = 500 * kMicrosecond;
-  uint32_t ack_every_segments = 2;
 
   // Coalesce queued sub-MSS buffer views into full-MSS wire segments (zero-copy gather; each
   // segment carries multiple Buffer slices). Off = one segment per Push (the pre-batching
@@ -93,11 +108,6 @@ struct TcpConfig {
 
   CongestionAlgorithm congestion = CongestionAlgorithm::kCubic;
   size_t fixed_window_bytes = 1 << 20;  // used by kFixedWindow (ablation)
-
-  // TIME_WAIT hold (2*MSL); short by default because the simulated fabric's MSL is tiny.
-  DurationNs time_wait = 10 * kMillisecond;
-
-  size_t max_syn_backlog = 128;
 
   // Stateless SYN cookies (docs/SCALING.md §2): listeners answer SYNs without allocating any
   // connection state; the TCB materializes only when the third ACK returns a valid cookie.

@@ -1,6 +1,7 @@
 // Batched-datapath and ack-policy tests: MSS coalescing (zero-copy gather), RFC 1122 delayed
-// acks, immediate acks on out-of-order arrivals, and the Karn's-algorithm fix for RTT samples
-// taken from cumulative acks that cover a retransmitted segment.
+// acks, immediate acks on out-of-order arrivals, the one wheel entry per connection, and the
+// Karn's-algorithm fix for RTT samples taken from cumulative acks that cover a retransmitted
+// segment.
 //
 // All tests run two full stacks in deterministic stepped mode on a shared VirtualClock,
 // mirroring tcp_advanced_test; this fixture turns software checksums on so multi-slice gather
@@ -8,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <memory>
 #include <string>
 
 #include "src/common/clock.h"
@@ -152,7 +155,7 @@ TEST_F(TcpBatchingTest, DelayedAckFiresAtConfiguredCap) {
   const TimeNs delivered_at = clock_.Now();
   ASSERT_TRUE(RunUntil([&] { return client->BytesInFlight() == 0; }));
   const DurationNs ack_wait = clock_.Now() - delivered_at;
-  const DurationNs cap = TcpConfig{}.delayed_ack_timeout;
+  const DurationNs cap = kTcpDelayedAckTimeout;
   EXPECT_GE(ack_wait, cap / 2) << "ack left before the delay timer";
   EXPECT_LE(ack_wait, 4 * cap) << "ack took far longer than the delay cap";
   EXPECT_GE(server->conn_stats().delayed_acks, 1u);
@@ -161,13 +164,13 @@ TEST_F(TcpBatchingTest, DelayedAckFiresAtConfiguredCap) {
 TEST_F(TcpBatchingTest, AckEveryNthFullSegmentIsImmediate) {
   auto [client, server] = EstablishPair();
   // Exactly two full-MSS segments in order: the second must trigger an immediate ack
-  // (default ack_every_segments = 2) covering both, rather than waiting out the delay timer.
+  // (kTcpAckEverySegments = 2) covering both, rather than waiting out the delay timer.
   const size_t bytes = 2 * client->effective_mss();
   PushString(a_, client, std::string(bytes, 'x'));
   ASSERT_TRUE(RunUntil([&] { return server->conn_stats().bytes_received >= bytes; }));
   const TimeNs delivered_at = clock_.Now();
   ASSERT_TRUE(RunUntil([&] { return client->BytesInFlight() == 0; }));
-  EXPECT_LT(clock_.Now() - delivered_at, TcpConfig{}.delayed_ack_timeout / 2)
+  EXPECT_LT(clock_.Now() - delivered_at, kTcpDelayedAckTimeout / 2)
       << "segment-count ack should not have waited for the delay timer";
   (void)DrainString(server, bytes);
 }
@@ -194,7 +197,7 @@ TEST_F(TcpBatchingTest, OutOfOrderSegmentAcksImmediately) {
   const TimeNs sent_at = clock_.Now();
   ASSERT_TRUE(RunUntil([&] { return server->conn_stats().out_of_order > 0; }));
   ASSERT_TRUE(RunUntil([&] { return client->conn_stats().dup_acks_seen > 0; }));
-  EXPECT_LT(clock_.Now() - sent_at, TcpConfig{}.delayed_ack_timeout)
+  EXPECT_LT(clock_.Now() - sent_at, kTcpDelayedAckTimeout)
       << "out-of-order dup-ack was delayed";
   // The stream still completes byte-exactly once the hole is retransmitted.
   EXPECT_EQ(DrainString(server, 36), "lost-segment-one" "arrives-out-of-order");
@@ -229,6 +232,130 @@ TEST_F(TcpBatchingTest, DataSegmentsWithStaleAckAreNotDuplicateAcks) {
   ASSERT_TRUE(RunUntil([&] { return client->BytesInFlight() == 0; }));
   EXPECT_EQ(client->conn_stats().dup_acks_seen, dup_acks_before);
   EXPECT_EQ(client->conn_stats().fast_retransmits, fast_retx_before);
+}
+
+// --- One wheel entry per connection ---
+
+// Wheel arms + cancels a host's scheduler has performed so far.
+uint64_t WheelOps(const Host& h) {
+  const TimerWheel::Stats& st = h.sched.timer_wheel().stats();
+  return st.arms + st.cancels;
+}
+
+// A connection's retransmit, delayed-ack and state deadlines share one wheel entry that is
+// re-armed only when the earliest deadline moves earlier. A ping-pong moves the retransmit and
+// delayed-ack deadlines later on every round trip, so it must cost far less than one wheel
+// operation per round trip (cancel-and-re-arm on every send and ack costs about four).
+TEST_F(TcpBatchingTest, PingPongRarelyTouchesTheWheel) {
+  auto [client, server] = EstablishPair();
+  size_t a_max_armed = 0;
+  size_t b_max_armed = 0;
+  const auto transfer = [&](Host& from, const std::shared_ptr<TcpConnection>& src,
+                            const std::shared_ptr<TcpConnection>& dst, const std::string& msg) {
+    PushString(from, src, msg);
+    std::string got;
+    return RunUntil([&] {
+      a_max_armed = std::max(a_max_armed, a_.sched.timer_wheel().armed());
+      b_max_armed = std::max(b_max_armed, b_.sched.timer_wheel().armed());
+      while (auto c = dst->PopData()) {
+        got.append(reinterpret_cast<const char*>(c->data()), c->size());
+      }
+      return got == msg;
+    });
+  };
+  const uint64_t a_before = WheelOps(a_);
+  const uint64_t b_before = WheelOps(b_);
+  constexpr uint64_t kRoundTrips = 1000;
+  for (uint64_t i = 0; i < kRoundTrips; i++) {
+    ASSERT_TRUE(transfer(a_, client, server, "ping"));
+    ASSERT_TRUE(transfer(b_, server, client, "pong"));
+  }
+  const uint64_t a_ops = WheelOps(a_) - a_before;
+  const uint64_t b_ops = WheelOps(b_) - b_before;
+  EXPECT_LT(a_ops, kRoundTrips / 10) << "client wheel arms+cancels over " << kRoundTrips
+                                     << " round trips";
+  EXPECT_LT(b_ops, kRoundTrips / 10) << "server wheel arms+cancels over " << kRoundTrips
+                                     << " round trips";
+  EXPECT_LE(a_max_armed, a_.tcp.NumConnections());
+  EXPECT_LE(b_max_armed, b_.tcp.NumConnections());
+}
+
+// The receiver's buffer is one sub-MSS segment, so a single segment closes its window while
+// its ack is held on the delayed-ack deadline.
+class TcpTinyReceiveBufferTest : public TcpBatchingTest {
+ protected:
+  static TcpConfig Tiny() {
+    TcpConfig cfg;
+    cfg.recv_buffer_bytes = 1024;
+    return cfg;
+  }
+  TcpTinyReceiveBufferTest() : TcpBatchingTest(LinkConfig{}, TcpConfig{}, Tiny()) {}
+};
+
+// A pending delayed ack escalated to an immediate one outside an RX burst (the application
+// reopened a closed window) moves the ack deadline earlier: the wheel entry must be re-armed
+// so the ack leaves on the very next poll, not at the delayed-ack cap.
+TEST_F(TcpTinyReceiveBufferTest, EscalatedAckLeavesOnTheNextPoll) {
+  auto [client, server] = EstablishPair();
+  const std::string msg(1024, 'w');
+  PushString(a_, client, msg);
+  ASSERT_TRUE(RunUntil([&] { return server->conn_stats().bytes_received >= msg.size(); }));
+  ASSERT_EQ(client->BytesInFlight(), msg.size()) << "the ack should still be delayed";
+  const uint64_t delayed_before = server->conn_stats().delayed_acks;
+  const uint64_t tx_before = b_.tcp.stats().segments_tx;
+  const TimeNs popped_at = clock_.Now();
+  auto chunk = server->PopData();  // reopens the window: the ack becomes urgent
+  ASSERT_TRUE(chunk.has_value());
+  EXPECT_EQ(chunk->size(), msg.size());
+  b_.sched.Poll();
+  EXPECT_EQ(clock_.Now(), popped_at);
+  EXPECT_EQ(b_.tcp.stats().segments_tx, tx_before + 1) << "the urgent ack did not leave";
+  ASSERT_TRUE(RunUntil([&] { return client->BytesInFlight() == 0; }));
+  EXPECT_LT(clock_.Now() - popped_at, kTcpDelayedAckTimeout / 2);
+  EXPECT_EQ(server->conn_stats().delayed_acks, delayed_before);
+}
+
+// Closing a connection cancels its wheel entry, so a connection reaped before that entry's
+// time leaves nothing behind to fire on freed memory (the sanitizer builds run this).
+TEST_F(TcpBatchingTest, ConnectionReapedBeforeItsEntryFiresLeavesNothingArmed) {
+  auto [client, server] = EstablishPair();
+  // The client's retransmit deadline and the server's delayed-ack deadline are both pending.
+  const std::string msg = "never-acked";
+  PushString(a_, client, msg);
+  ASSERT_TRUE(RunUntil([&] { return server->conn_stats().bytes_received >= msg.size(); }));
+  ASSERT_GT(client->BytesInFlight(), 0u);
+  ASSERT_EQ(a_.sched.timer_wheel().armed(), 1u);
+  ASSERT_EQ(b_.sched.timer_wheel().armed(), 1u);
+  const uint64_t a_fires = a_.sched.timer_wheel().stats().fires;
+  const uint64_t b_fires = b_.sched.timer_wheel().stats().fires;
+
+  client->Abort();
+  client->ReleaseByApp();
+  const std::weak_ptr<TcpConnection> client_alive = client;
+  client.reset();
+  a_.tcp.Reap();
+  EXPECT_TRUE(client_alive.expired());
+  EXPECT_EQ(a_.sched.timer_wheel().armed(), 0u);
+
+  // The RST closes the server; popping the data it still holds must not arm an ack.
+  ASSERT_TRUE(RunUntil([&] { return server->state() == TcpState::kClosed; }));
+  auto chunk = server->PopData();
+  ASSERT_TRUE(chunk.has_value());
+  EXPECT_EQ(chunk->size(), msg.size());
+  EXPECT_EQ(b_.sched.timer_wheel().armed(), 0u);
+  server->ReleaseByApp();
+  const std::weak_ptr<TcpConnection> server_alive = server;
+  server.reset();
+  b_.tcp.Reap();
+  EXPECT_TRUE(server_alive.expired());
+
+  // Well past the retransmit and delayed-ack deadlines the entries were armed for.
+  clock_.Advance(kSecond);
+  for (int i = 0; i < 4; i++) {
+    world_.Step();
+  }
+  EXPECT_EQ(a_.sched.timer_wheel().stats().fires, a_fires);
+  EXPECT_EQ(b_.sched.timer_wheel().stats().fires, b_fires);
 }
 
 // --- Karn's algorithm (RFC 6298 §3) ---
