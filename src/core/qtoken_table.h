@@ -134,24 +134,6 @@ class QTokenTable {  // demilint: shard-local
     return result;
   }
 
-  // Cancels a pending token (queue closed underneath it) by completing it with `status`.
-  void Cancel(QToken qt, Status status) {
-    Entry* e = Lookup(qt);
-    if (e != nullptr && !e->done) {
-      e->result.status = status;
-      e->done = true;
-    }
-  }
-
-  OpCode OpOf(QToken qt) const {
-    const Entry* e = Lookup(qt);
-    return e == nullptr ? OpCode::kInvalid : e->result.opcode;
-  }
-  QueueDesc QdOf(QToken qt) const {
-    const Entry* e = Lookup(qt);
-    return e == nullptr ? kInvalidQd : e->result.qd;
-  }
-
   size_t NumPending() const {
     size_t n = 0;
     for (const auto& e : entries_) {

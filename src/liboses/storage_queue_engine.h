@@ -134,7 +134,7 @@ class StorageQueueEngine {
       if (it == files_.end() || it->second.pops.empty()) {
         co_return;
       }
-      auto result = co_await log_.Read(it->second.cursor);
+      auto result = co_await log_.Read(it->second.cursor, alloc_);
       it = files_.find(qd);
       if (it == files_.end()) {
         co_return;
@@ -146,6 +146,8 @@ class StorageQueueEngine {
       qr.status = result.error();
       if (result.ok()) {
         fq.cursor = result->next_cursor;
+        // The one host copy: the app takes a whole object, and the payload is a view into
+        // the log's read blocks.
         Buffer buf = Buffer::TryAllocate(alloc_, result->payload.size());
         if (!buf.valid()) {
           // The cursor is already past a durable record: the caller may Seek back and pop

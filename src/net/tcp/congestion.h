@@ -1,5 +1,5 @@
-// Congestion control: Cubic (RFC 8312, the algorithm Catnip ships with), NewReno, and a fixed
-// window for ablation benchmarks.
+// Congestion control: Cubic (RFC 8312, the algorithm Catnip ships with) and a fixed window
+// for ablation benchmarks.
 
 #ifndef SRC_NET_TCP_CONGESTION_H_
 #define SRC_NET_TCP_CONGESTION_H_
@@ -51,24 +51,6 @@ class CubicCongestion final : public CongestionControl {
   double w_max_seg_ = 0;  // window before last reduction, segments
   double k_seconds_ = 0;  // time for the cubic to return to w_max
   TimeNs epoch_start_ = 0;
-};
-
-// Classic NewReno AIMD.
-class NewRenoCongestion final : public CongestionControl {
- public:
-  explicit NewRenoCongestion(size_t mss);
-
-  void OnAck(size_t bytes_acked, TimeNs now) override;
-  void OnFastRetransmit(TimeNs now) override;
-  void OnTimeout(TimeNs now) override;
-  size_t cwnd() const override { return cwnd_; }
-  const char* Name() const override { return "newreno"; }
-
- private:
-  const size_t mss_;
-  size_t cwnd_;
-  size_t ssthresh_;
-  size_t ack_accum_ = 0;  // bytes acked since last congestion-avoidance increment
 };
 
 // No congestion reaction at all; flow control only (ablation baseline).

@@ -1291,8 +1291,7 @@ void TcpStack::OnIpv4Packet(const Ipv4Header& ip, std::span<const uint8_t> l4) {
         SendSynCookieSynAck(*hdr, ip.src, key);
         return;
       }
-      if (listener->ready_.size() + listener->syn_rcvd_count_ >= listener->backlog_ ||
-          conns_.size() >= kTcpMaxSynBacklog + 1024) {
+      if (listener->ready_.size() + listener->syn_rcvd_count_ >= listener->backlog_) {
         return;  // backlog full: drop the SYN, client retries
       }
       if (tenants_ != nullptr && !tenants_->TryAdmitAccept(listener->tenant())) {

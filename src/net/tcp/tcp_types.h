@@ -74,11 +74,7 @@ inline constexpr uint32_t kTcpAckEverySegments = 2;
 // TIME_WAIT hold (2*MSL); short because the simulated fabric's MSL is tiny.
 inline constexpr DurationNs kTcpTimeWait = 10 * kMillisecond;
 
-// Stateful (non-cookie) SYN admission stops once the stack holds this many connections beyond
-// a 1024-connection base.
-inline constexpr size_t kTcpMaxSynBacklog = 128;
-
-enum class CongestionAlgorithm : uint8_t { kCubic, kNewReno, kFixedWindow };
+enum class CongestionAlgorithm : uint8_t { kCubic, kFixedWindow };
 
 struct TcpConfig {
   // Retransmission (RFC 6298 with datacenter-friendly floors; the simulated fabric runs at µs

@@ -97,21 +97,13 @@ void LogDevice::WriteHeader(uint8_t* dst, uint32_t payload_len, uint32_t payload
   PutU32(dst + 20, Crc32(dst, 20));
 }
 
-Task<Status> LogDevice::SubmitOnceAndWait(bool is_read, uint64_t lba,
-                                          std::span<const uint8_t> data,
-                                          std::span<const std::span<const uint8_t>> iov,
-                                          std::span<uint8_t> out) {
+Task<Status> LogDevice::SubmitOnceAndWait(uint64_t lba, std::span<uint8_t> read_into,
+                                          std::span<const std::span<const uint8_t>> write_iov) {
   IoWait wait;
   const uint64_t cookie = next_cookie_++;
   for (;;) {
-    Status s;
-    if (is_read) {
-      s = device_.SubmitRead(lba, out, cookie, part_.id);
-    } else if (!iov.empty()) {
-      s = device_.SubmitWritev(lba, iov, cookie, part_.id);
-    } else {
-      s = device_.SubmitWrite(lba, data, cookie, part_.id);
-    }
+    const Status s = read_into.empty() ? device_.SubmitWritev(lba, write_iov, cookie, part_.id)
+                                       : device_.SubmitRead(lba, read_into, cookie, part_.id);
     if (s == Status::kOk) {
       break;
     }
@@ -128,51 +120,17 @@ Task<Status> LogDevice::SubmitOnceAndWait(bool is_read, uint64_t lba,
   co_return wait.status;
 }
 
-Task<Status> LogDevice::SubmitWriteAndWait(uint64_t lba, std::span<const uint8_t> data) {
+Task<Status> LogDevice::SubmitAndWait(uint64_t lba, std::span<uint8_t> read_into,
+                                      std::span<const std::span<const uint8_t>> write_iov) {
   DurationNs backoff = retry_.initial_backoff;
   for (uint32_t attempt = 0;; attempt++) {
-    const Status s = co_await SubmitOnceAndWait(/*is_read=*/false, lba, data, {}, {});
+    const Status s = co_await SubmitOnceAndWait(lba, read_into, write_iov);
     if (s != Status::kIoError) {
       co_return s;  // success, or a non-retryable submission error
     }
     if (attempt >= retry_.max_retries) {
       stats_.io_terminal_errors++;
       co_return s;  // budget spent: the terminal error propagates to the qtoken
-    }
-    stats_.io_retries++;
-    co_await scheduler_.Sleep(backoff);
-    backoff = std::min<DurationNs>(backoff * 2, retry_.max_backoff);
-  }
-}
-
-Task<Status> LogDevice::SubmitWritevAndWait(uint64_t lba,
-                                            std::span<const std::span<const uint8_t>> iov) {
-  DurationNs backoff = retry_.initial_backoff;
-  for (uint32_t attempt = 0;; attempt++) {
-    const Status s = co_await SubmitOnceAndWait(/*is_read=*/false, lba, {}, iov, {});
-    if (s != Status::kIoError) {
-      co_return s;
-    }
-    if (attempt >= retry_.max_retries) {
-      stats_.io_terminal_errors++;
-      co_return s;
-    }
-    stats_.io_retries++;
-    co_await scheduler_.Sleep(backoff);
-    backoff = std::min<DurationNs>(backoff * 2, retry_.max_backoff);
-  }
-}
-
-Task<Status> LogDevice::SubmitReadAndWait(uint64_t lba, std::span<uint8_t> out) {
-  DurationNs backoff = retry_.initial_backoff;
-  for (uint32_t attempt = 0;; attempt++) {
-    const Status s = co_await SubmitOnceAndWait(/*is_read=*/true, lba, {}, {}, out);
-    if (s != Status::kIoError) {
-      co_return s;
-    }
-    if (attempt >= retry_.max_retries) {
-      stats_.io_terminal_errors++;
-      co_return s;
     }
     stats_.io_retries++;
     co_await scheduler_.Sleep(backoff);
@@ -250,7 +208,8 @@ Task<void> LogDevice::CommitQueued() {
     std::memcpy(at + kHeaderSize, payload.data(), payload.size());
   }
 
-  const Status s = co_await SubmitWriteAndWait(DeviceLba(tail_), io);
+  const std::span<const uint8_t> image[] = {io};
+  const Status s = co_await SubmitAndWait(DeviceLba(tail_), {}, image);
   if (s == Status::kOk) {
     // Acknowledged: commit the new partial last block to the cache and advance the tail.
     std::memcpy(tail_block_cache_.data(), io.data() + (nblocks - 1) * block_size_, block_size_);
@@ -292,7 +251,7 @@ Task<Result<uint64_t>> LogDevice::AppendSg(std::span<const std::span<const uint8
     co_return Status::kNoBufferSpace;
   }
 
-  uint8_t hdr[kHeaderSize];
+  uint8_t hdr[kHeaderSize] = {};
   WriteHeader(hdr, payload_len, payload_crc);
 
   std::vector<std::span<const uint8_t>> iov;
@@ -342,7 +301,7 @@ Task<Result<uint64_t>> LogDevice::AppendSg(std::span<const std::span<const uint8
   }
 
   const uint64_t first_byte = gap1 > 0 ? tail_ - tail_ % block_size_ : tail_;
-  const Status s = co_await SubmitWritevAndWait(DeviceLba(first_byte), iov);
+  const Status s = co_await SubmitAndWait(DeviceLba(first_byte), {}, iov);
   if (s != Status::kOk) {
     ReleaseAppendLock();
     co_return s;
@@ -356,7 +315,36 @@ Task<Result<uint64_t>> LogDevice::AppendSg(std::span<const std::span<const uint8
   co_return record_off;
 }
 
-Task<Result<LogDevice::ReadResult>> LogDevice::Read(uint64_t cursor) {
+LogDevice::Entry LogDevice::ParseEntry(std::span<const uint8_t> bytes, uint64_t cursor,
+                                       uint64_t bound) {
+  if (bytes.size() < kPadHeaderSize) {
+    return {};
+  }
+  const uint32_t magic = GetU32(bytes.data());
+  if (magic == kPadMagic) {
+    const uint32_t skip = GetU32(bytes.data() + 4);
+    if (skip < kPadHeaderSize || skip % kAlign != 0 || cursor + skip > bound) {
+      return {};
+    }
+    return Entry{.kind = Entry::Kind::kPad, .size = skip};
+  }
+  if (magic != kRecordMagic || bytes.size() < kHeaderSize ||
+      Crc32(bytes.data(), 20) != GetU32(bytes.data() + 20)) {
+    return {};  // not a record, or a torn header
+  }
+  const uint32_t len = GetU32(bytes.data() + 4);
+  const uint64_t size = AlignUp(kHeaderSize + len, kAlign);
+  if (cursor + size > bound) {
+    return {};
+  }
+  return Entry{.kind = Entry::Kind::kRecord,
+               .size = size,
+               .len = len,
+               .epoch = GetU64(bytes.data() + 8),
+               .payload_crc = GetU32(bytes.data() + 16)};
+}
+
+Task<Result<LogDevice::Record>> LogDevice::Read(uint64_t cursor, PoolAllocator& alloc) {
   for (;;) {
     if (cursor < head_) {
       co_return Status::kInvalidArgument;
@@ -364,132 +352,54 @@ Task<Result<LogDevice::ReadResult>> LogDevice::Read(uint64_t cursor) {
     if (cursor >= tail_) {
       co_return Status::kEndOfFile;
     }
-    // Read the block(s) holding the header; it can straddle a block boundary.
+    // Read the block(s) holding the header (it can straddle a block boundary) into pool
+    // memory; a payload that ends inside them is returned straight from this one read.
+    const uint64_t hdr_end = std::min<uint64_t>(cursor + kHeaderSize, tail_);
     const uint64_t first_block = cursor / block_size_;
-    size_t hdr_blocks = (cursor % block_size_) + kHeaderSize > block_size_ ? 2 : 1;
-    hdr_blocks = std::min<size_t>(hdr_blocks,
-                                  static_cast<size_t>(part_.num_blocks - first_block));
-    std::vector<uint8_t> hdr_io(hdr_blocks * block_size_);
-    Status s = co_await SubmitReadAndWait(part_.first_block + first_block, hdr_io);
+    const uint64_t hdr_blocks = (hdr_end - 1) / block_size_ + 1 - first_block;
+    Buffer blocks = Buffer::TryAllocate(alloc, static_cast<size_t>(hdr_blocks * block_size_));
+    if (!blocks.valid()) {
+      co_return Status::kNoMemory;
+    }
+    Status s = co_await SubmitAndWait(part_.first_block + first_block,
+                                      {blocks.mutable_data(), blocks.size()}, {});
     if (s != Status::kOk) {
       co_return s;
     }
-    const size_t in_off = static_cast<size_t>(cursor - first_block * block_size_);
-    const uint32_t magic = GetU32(hdr_io.data() + in_off);
-    if (magic == kPadMagic) {
-      const uint32_t skip = GetU32(hdr_io.data() + in_off + 4);
-      if (skip < kPadHeaderSize || skip % kAlign != 0 || cursor + skip > tail_) {
-        co_return Status::kProtocolError;
-      }
-      cursor += skip;
+    uint64_t blocks_at = first_block * block_size_;  // log offset of blocks[0]
+    const Entry e = ParseEntry(
+        {blocks.data() + (cursor - blocks_at), static_cast<size_t>(hdr_end - cursor)}, cursor,
+        tail_);
+    if (e.kind == Entry::Kind::kPad) {
+      cursor += e.size;
       continue;  // alignment filler between records
     }
-    if (magic != kRecordMagic || hdr_io.size() - in_off < kHeaderSize) {
+    if (e.kind != Entry::Kind::kRecord) {
       co_return Status::kProtocolError;
     }
-    const uint32_t len = GetU32(hdr_io.data() + in_off + 4);
-    const uint32_t stored_hdr_crc = GetU32(hdr_io.data() + in_off + 20);
-    if (Crc32(hdr_io.data() + in_off, 20) != stored_hdr_crc) {
-      co_return Status::kProtocolError;
-    }
-    const uint64_t record_bytes = AlignUp(kHeaderSize + len, kAlign);
-    if (cursor + record_bytes > tail_) {
-      co_return Status::kProtocolError;
-    }
-
-    ReadResult result;
-    result.payload.resize(len);
-    result.next_cursor = cursor + record_bytes;
-    const uint32_t stored_payload_crc = GetU32(hdr_io.data() + in_off + 16);
-
-    const uint64_t payload_start = cursor + kHeaderSize;
-    const uint64_t payload_end = payload_start + len;
-    const uint64_t span_first = payload_start / block_size_;
-    const uint64_t span_last = len == 0 ? span_first : (payload_end - 1) / block_size_;
-    if (span_last < first_block + hdr_blocks) {
-      // Entire payload was already covered by the header read.
-      std::memcpy(result.payload.data(), hdr_io.data() + in_off + kHeaderSize, len);
-    } else {
-      std::vector<uint8_t> io((span_last - span_first + 1) * block_size_);
-      s = co_await SubmitReadAndWait(part_.first_block + span_first, io);
+    const uint64_t payload_at = cursor + kHeaderSize;
+    if (payload_at + e.len > blocks_at + blocks.size()) {
+      // The payload runs past the header's blocks: read its own block span instead, after
+      // handing the header's blocks back to the pool.
+      const uint64_t span_first = payload_at / block_size_;
+      const uint64_t span_blocks = (payload_at + e.len - 1) / block_size_ + 1 - span_first;
+      blocks = Buffer();
+      blocks = Buffer::TryAllocate(alloc, static_cast<size_t>(span_blocks * block_size_));
+      if (!blocks.valid()) {
+        co_return Status::kNoMemory;
+      }
+      s = co_await SubmitAndWait(part_.first_block + span_first,
+                                 {blocks.mutable_data(), blocks.size()}, {});
       if (s != Status::kOk) {
         co_return s;
       }
-      std::memcpy(result.payload.data(), io.data() + (payload_start - span_first * block_size_),
-                  len);
+      blocks_at = span_first * block_size_;
     }
-    if (Crc32(result.payload.data(), result.payload.size()) != stored_payload_crc) {
+    Buffer payload = blocks.Slice(static_cast<size_t>(payload_at - blocks_at), e.len);
+    if (Crc32(payload.data(), payload.size()) != e.payload_crc) {
       co_return Status::kProtocolError;
     }
-    co_return result;
-  }
-}
-
-Task<Result<LogDevice::ZcReadResult>> LogDevice::ReadZc(uint64_t cursor, PoolAllocator& alloc) {
-  for (;;) {
-    if (cursor < head_) {
-      co_return Status::kInvalidArgument;
-    }
-    if (cursor >= tail_) {
-      co_return Status::kEndOfFile;
-    }
-    const uint64_t first_block = cursor / block_size_;
-    size_t hdr_blocks = (cursor % block_size_) + kHeaderSize > block_size_ ? 2 : 1;
-    hdr_blocks = std::min<size_t>(hdr_blocks,
-                                  static_cast<size_t>(part_.num_blocks - first_block));
-    std::vector<uint8_t> hdr_io(hdr_blocks * block_size_);
-    Status s = co_await SubmitReadAndWait(part_.first_block + first_block, hdr_io);
-    if (s != Status::kOk) {
-      co_return s;
-    }
-    const size_t in_off = static_cast<size_t>(cursor - first_block * block_size_);
-    const uint32_t magic = GetU32(hdr_io.data() + in_off);
-    if (magic == kPadMagic) {
-      const uint32_t skip = GetU32(hdr_io.data() + in_off + 4);
-      if (skip < kPadHeaderSize || skip % kAlign != 0 || cursor + skip > tail_) {
-        co_return Status::kProtocolError;
-      }
-      cursor += skip;
-      continue;
-    }
-    if (magic != kRecordMagic || hdr_io.size() - in_off < kHeaderSize) {
-      co_return Status::kProtocolError;
-    }
-    const uint32_t len = GetU32(hdr_io.data() + in_off + 4);
-    const uint32_t stored_payload_crc = GetU32(hdr_io.data() + in_off + 16);
-    const uint32_t stored_hdr_crc = GetU32(hdr_io.data() + in_off + 20);
-    if (Crc32(hdr_io.data() + in_off, 20) != stored_hdr_crc) {
-      co_return Status::kProtocolError;
-    }
-    const uint64_t record_bytes = AlignUp(kHeaderSize + len, kAlign);
-    if (cursor + record_bytes > tail_) {
-      co_return Status::kProtocolError;
-    }
-
-    // One pool allocation covers every block the payload touches; the device DMAs into it and
-    // the returned view slices the payload out of it — no host-side payload copy.
-    const uint64_t payload_start = cursor + kHeaderSize;
-    const uint64_t span_first = payload_start / block_size_;
-    const uint64_t span_last =
-        len == 0 ? span_first : (payload_start + len - 1) / block_size_;
-    const size_t span_bytes = static_cast<size_t>((span_last - span_first + 1) * block_size_);
-    Buffer buf = Buffer::TryAllocate(alloc, span_bytes);
-    if (!buf.valid()) {
-      co_return Status::kNoMemory;
-    }
-    s = co_await SubmitReadAndWait(part_.first_block + span_first,
-                                   {buf.mutable_data(), span_bytes});
-    if (s != Status::kOk) {
-      co_return s;
-    }
-    const size_t view_off = static_cast<size_t>(payload_start - span_first * block_size_);
-    if (Crc32(buf.data() + view_off, len) != stored_payload_crc) {
-      co_return Status::kProtocolError;
-    }
-    ZcReadResult result;
-    result.payload = buf.Slice(view_off, len);
-    result.next_cursor = cursor + record_bytes;
-    co_return result;
+    co_return Record{std::move(payload), cursor + e.size};
   }
 }
 
@@ -534,46 +444,44 @@ uint64_t LogDevice::ScanPartition(const SimBlockDevice& device, const LogPartiti
   const uint64_t cap = part.num_blocks * block_size;
   uint64_t cursor = 0;
   uint64_t last_epoch = 0;
-  std::vector<uint8_t> hdr(kHeaderSize);
+  uint8_t hdr[kHeaderSize];
   std::vector<uint8_t> payload;
-  while (cursor + kPadHeaderSize <= cap) {
+  while (cursor < cap) {
     const size_t avail = static_cast<size_t>(std::min<uint64_t>(kHeaderSize, cap - cursor));
-    device.RawRead(base + cursor, {hdr.data(), avail});
-    const uint32_t magic = GetU32(hdr.data());
-    if (magic == kPadMagic) {
-      const uint32_t skip = GetU32(hdr.data() + 4);
-      if (skip < kPadHeaderSize || skip % kAlign != 0 || cursor + skip > cap) {
-        break;
-      }
-      cursor += skip;
+    device.RawRead(base + cursor, {hdr, avail});
+    const Entry e = ParseEntry({hdr, avail}, cursor, cap);
+    if (e.kind == Entry::Kind::kPad) {
+      cursor += e.size;
       continue;
     }
-    if (magic != kRecordMagic || avail < kHeaderSize) {
-      break;
+    if (e.kind != Entry::Kind::kRecord || e.epoch <= last_epoch) {
+      break;  // torn or out-of-bounds header, or epoch monotonicity broken (stale/torn data)
     }
-    if (Crc32(hdr.data(), 20) != GetU32(hdr.data() + 20)) {
-      break;  // torn header
-    }
-    const uint32_t len = GetU32(hdr.data() + 4);
-    const uint64_t epoch = GetU64(hdr.data() + 8);
-    const uint64_t record_bytes = AlignUp(kHeaderSize + len, kAlign);
-    if (cursor + record_bytes > cap || epoch <= last_epoch) {
-      break;  // out of bounds, or epoch monotonicity broken (stale/torn data)
-    }
-    payload.resize(len);
-    if (len > 0) {
+    payload.resize(e.len);
+    if (e.len > 0) {
       device.RawRead(base + cursor + kHeaderSize, payload);
     }
-    if (Crc32(payload.data(), payload.size()) != GetU32(hdr.data() + 16)) {
+    if (Crc32(payload.data(), payload.size()) != e.payload_crc) {
       break;  // torn payload: the record never became durable
     }
     if (out != nullptr) {
-      out->push_back(RecordInfo{cursor, len, epoch});
+      out->push_back(RecordInfo{cursor, e.len, e.epoch});
     }
-    last_epoch = epoch;
-    cursor += record_bytes;
+    last_epoch = e.epoch;
+    cursor += e.size;
   }
   return cursor;
+}
+
+void LogDevice::SeedEpochPast(std::atomic<uint64_t>& epoch, uint64_t recovered_max) {
+  // demilint: atomic(recovery is synchronous — before workers spawn or after they join, with
+  // no concurrent appenders — so nothing races this seed; the relaxed CAS only has to win the
+  // modification order when several partitions recover in turn)
+  uint64_t cur = epoch.load(std::memory_order_relaxed);
+  while (cur <= recovered_max &&
+         !epoch.compare_exchange_weak(  // demilint: atomic(see load above)
+             cur, recovered_max + 1, std::memory_order_relaxed)) {
+  }
 }
 
 Status LogDevice::Recover() {
@@ -583,16 +491,8 @@ Status LogDevice::Recover() {
   // The shared epoch must move past every recovered record so post-recovery appends keep the
   // per-partition strict ordering. (PartitionedLog::RecoverAll does this across partitions;
   // this covers the standalone whole-device log.)
-  uint64_t max_epoch = records.empty() ? 0 : records.back().epoch;
-  stats_.last_epoch = max_epoch;
-  // demilint: atomic(recovery is synchronous — no concurrent appenders — so the relaxed
-  // CAS only has to win the modification order when several partitions recover in turn)
-  uint64_t cur = epoch_->load(std::memory_order_relaxed);
-  // demilint: atomic(see load above)
-  while (cur <= max_epoch &&
-         !epoch_->compare_exchange_weak(  // demilint: atomic(see load above)
-             cur, max_epoch + 1, std::memory_order_relaxed)) {
-  }
+  stats_.last_epoch = records.empty() ? 0 : records.back().epoch;
+  SeedEpochPast(*epoch_, stats_.last_epoch);
   // Rebuild the tail-block cache from media.
   std::fill(tail_block_cache_.begin(), tail_block_cache_.end(), 0);
   const uint64_t tail_block = tail_ / block_size_;

@@ -12,6 +12,9 @@
 // Recovery scans from offset 0 and accepts a record only if both CRCs verify and its epoch is
 // strictly greater than the previous record's — a torn write (prefix on media, error returned)
 // can forge magic+length but not the payload CRC, so recovery stops at the last durable record.
+// One parser (ParseEntry) reads this format for both the live reader (Read) and recovery
+// (ScanPartition). Read returns the payload as a view into the pooled blocks the device read
+// into: one device read when the payload ends inside its header's block(s), two otherwise.
 //
 // Group commit: Append queues its record when it is called. Whichever appender finds the log
 // idle becomes the leader and writes every queued record in one device write — each record
@@ -59,14 +62,10 @@ class LogDevice {
   LogDevice(SimBlockDevice& device, Scheduler& scheduler, const LogPartition& partition = {},
             std::atomic<uint64_t>* epoch = nullptr);
 
-  struct ReadResult {
-    std::vector<uint8_t> payload;
-    uint64_t next_cursor;
-  };
-
-  // Zero-copy read: the payload is a view into one pool allocation covering the record's
-  // blocks — no payload memcpy between the device and the consumer (e.g. a TCP push).
-  struct ZcReadResult {
+  // A read record: its payload as a view into the pool allocation the device read into — no
+  // payload memcpy between the device and the consumer (e.g. a TCP push) — and the cursor of
+  // the record after it.
+  struct Record {
     Buffer payload;
     uint64_t next_cursor = 0;
   };
@@ -87,13 +86,12 @@ class LogDevice {
   // holds the Buffer references). Returns the record's byte offset.
   Task<Result<uint64_t>> AppendSg(std::span<const std::span<const uint8_t>> slices);
 
-  // Reads the record at `cursor` (skipping pad markers); fails with kEndOfFile at the tail,
-  // kProtocolError on a corrupt header/CRC, kInvalidArgument below the GC head.
-  Task<Result<ReadResult>> Read(uint64_t cursor);
-
-  // As Read, but the payload comes back as a Buffer view over a single pool allocation the
-  // device DMAed into (disk→NIC splice path). kNoMemory when the heap can't cover the span.
-  Task<Result<ZcReadResult>> ReadZc(uint64_t cursor, PoolAllocator& alloc);
+  // Reads the record at `cursor` (skipping pad markers) into pool memory from `alloc`. The
+  // block(s) holding the header are read first; a payload that ends inside them costs no
+  // second device read. Fails with kEndOfFile at the tail, kProtocolError on a corrupt header
+  // or payload CRC, kInvalidArgument below the GC head, and kNoMemory when the heap cannot
+  // cover a read buffer.
+  Task<Result<Record>> Read(uint64_t cursor, PoolAllocator& alloc);
 
   // Logical garbage collection: records below `offset` become unreadable.
   [[nodiscard]] Status Truncate(uint64_t offset);
@@ -125,6 +123,10 @@ class LogDevice {
   // records to `out` (may be null) and returns the rebuilt tail offset.
   static uint64_t ScanPartition(const SimBlockDevice& device, const LogPartition& partition,
                                 std::vector<RecordInfo>* out);
+
+  // Moves a shared allocation epoch past `recovered_max`, the largest epoch a recovery scan
+  // accepted, so appends after recovery keep every partition's epochs strictly increasing.
+  static void SeedEpochPast(std::atomic<uint64_t>& epoch, uint64_t recovered_max);
 
   // Bounded exponential backoff applied to transient device I/O errors (injected faults, flaky
   // media). After 1 + max_retries failed attempts the last error becomes terminal and
@@ -175,16 +177,31 @@ class LogDevice {
     Event event;
   };
 
-  // One submission attempt: retries while the device queue is full, then awaits the completion
-  // and returns its status.
-  Task<Status> SubmitOnceAndWait(bool is_read, uint64_t lba, std::span<const uint8_t> data,
-                                 std::span<const std::span<const uint8_t>> iov,
-                                 std::span<uint8_t> out);
-  // Issues a device op with transient-error retry per retry_policy(); returns the terminal
+  // What the media holds at a cursor: a pad marker, a record header, or neither.
+  struct Entry {
+    enum class Kind : uint8_t { kCorrupt, kPad, kRecord };
+    Kind kind = Kind::kCorrupt;
+    uint64_t size = 0;         // bytes the pad or record occupies: the next entry is at cursor+size
+    uint32_t len = 0;          // record: payload bytes
+    uint64_t epoch = 0;        // record: allocation epoch
+    uint32_t payload_crc = 0;  // record: stored CRC-32 of the payload
+  };
+  // The one parser of the format: `bytes` are the media at `cursor` (up to kHeaderSize of
+  // them, fewer where the log ends first) and `bound` is where readable data ends (the live
+  // tail, or the partition capacity for recovery). A pad must skip a positive multiple of 8
+  // bytes; a record needs its magic, a verified header CRC and its whole span inside `bound`.
+  // The payload CRC is left to the caller, which holds the payload.
+  static Entry ParseEntry(std::span<const uint8_t> bytes, uint64_t cursor, uint64_t bound);
+
+  // Issues one device op — a read into `read_into`, or else a gather write of `write_iov` —
+  // retrying a transient device error with backoff per retry_policy(). Returns the terminal
   // status once the op succeeds or the budget is spent.
-  Task<Status> SubmitWriteAndWait(uint64_t lba, std::span<const uint8_t> data);
-  Task<Status> SubmitWritevAndWait(uint64_t lba, std::span<const std::span<const uint8_t>> iov);
-  Task<Status> SubmitReadAndWait(uint64_t lba, std::span<uint8_t> out);
+  Task<Status> SubmitAndWait(uint64_t lba, std::span<uint8_t> read_into,
+                             std::span<const std::span<const uint8_t>> write_iov);
+  // One attempt of the above: retries while the device queue is full, then awaits the
+  // completion and returns its status.
+  Task<Status> SubmitOnceAndWait(uint64_t lba, std::span<uint8_t> read_into,
+                                 std::span<const std::span<const uint8_t>> write_iov);
   Task<void> AcquireAppendLock();
   void ReleaseAppendLock();
   // Resumes when `rec` is durable or failed. Whenever the append lock is free and `rec` is

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -177,14 +178,6 @@ TEST(CongestionTest, CubicGrowsAfterRecovery) {
     cc.OnAck(1000, t);
   }
   EXPECT_GT(cc.cwnd(), after_loss);  // cubic regrowth toward and past w_max
-}
-
-TEST(CongestionTest, NewRenoAdditiveIncrease) {
-  NewRenoCongestion cc(1000);
-  cc.OnFastRetransmit(kSecond);  // leave slow start
-  const size_t w = cc.cwnd();
-  cc.OnAck(w, 2 * kSecond);  // one full window of acks
-  EXPECT_EQ(cc.cwnd(), w + 1000);
 }
 
 TEST(CongestionTest, FixedWindowNeverMoves) {
@@ -420,6 +413,35 @@ TEST_F(TcpCleanTest, ListenerBacklogBounded) {
     }
   }
   EXPECT_LE(established, 2u);
+}
+
+// The listener's backlog bounds half-open and unaccepted connections only: connections the
+// app has accepted do not count against stateful SYN admission.
+TEST_F(TcpCleanTest, AcceptedConnectionsDoNotCapSynAdmission) {
+  constexpr size_t kConns = 1300;
+  auto listener = b_.tcp.Listen(80, 4096);
+  ASSERT_TRUE(listener.ok());
+  std::vector<std::shared_ptr<TcpConnection>> clients;
+  for (size_t i = 0; i < kConns; i++) {
+    auto c = a_.tcp.Connect(SocketAddress{b_.eth.local_ip(), 80});
+    ASSERT_TRUE(c.ok());
+    clients.push_back(*c);
+  }
+  std::vector<std::shared_ptr<TcpConnection>> servers;
+  auto established = [](const std::vector<std::shared_ptr<TcpConnection>>& conns) {
+    return static_cast<size_t>(std::count_if(conns.begin(), conns.end(), [](const auto& c) {
+      return c->state() == TcpState::kEstablished;
+    }));
+  };
+  RunUntil([&] {
+    while (auto s = (*listener)->Accept()) {
+      servers.push_back(std::move(s));
+    }
+    return servers.size() == kConns && established(clients) == kConns;
+  });
+  EXPECT_EQ(established(clients), kConns);
+  EXPECT_EQ(servers.size(), kConns);
+  EXPECT_EQ(established(servers), kConns);
 }
 
 TEST_F(TcpCleanTest, UafProtectionHoldsUnackedBuffers) {

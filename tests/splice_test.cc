@@ -1,5 +1,5 @@
 // Tests for the zero-copy network×storage splice path (docs/STORAGE.md):
-//  - LogDevice scatter-gather append (AppendSg) and zero-copy read (ReadZc)
+//  - LogDevice scatter-gather append (AppendSg) and zero-copy read (Read)
 //  - CRC+epoch-validated recovery, including the torn-write regression the format exists for
 //  - PartitionedLog geometry, isolation, and epoch-stitched multi-partition recovery
 //  - Catnip::Splice end to end over real TCP in both directions
@@ -93,16 +93,16 @@ class SpliceLogTest : public ::testing::Test {
     bool done = false;
     Status status = Status::kInternal;
     std::string payload;
-    sched_.Spawn([](LogDevice* log, uint64_t* cur, bool* done_out, Status* st,
-                    std::string* out) -> Task<void> {
-      auto r = co_await log->Read(*cur);
+    sched_.Spawn([](LogDevice* log, PoolAllocator* alloc, uint64_t* cur, bool* done_out,
+                    Status* st, std::string* out) -> Task<void> {
+      auto r = co_await log->Read(*cur, *alloc);
       *st = r.ok() ? Status::kOk : r.error();
       if (r.ok()) {
         out->assign(reinterpret_cast<const char*>(r->payload.data()), r->payload.size());
         *cur = r->next_cursor;
       }
       *done_out = true;
-    }(&log_, cursor, &done, &status, &payload));
+    }(&log_, &alloc_, cursor, &done, &status, &payload));
     RunUntil(done);
     if (status_out != nullptr) {
       *status_out = status;
@@ -111,6 +111,7 @@ class SpliceLogTest : public ::testing::Test {
   }
 
   SimWorld world_{LinkConfig{}, /*seed=*/1, /*max_steps=*/100'000};
+  PoolAllocator alloc_;
   SimBlockDevice dev_;
   Scheduler sched_;
   LogDevice log_;
@@ -171,7 +172,7 @@ TEST_F(SpliceLogTest, ReadZcReturnsViewOverOneAllocation) {
   Status status = Status::kInternal;
   sched_.Spawn([](LogDevice* log, PoolAllocator* a, const std::string* want, bool* done_out,
                   Status* st) -> Task<void> {
-    auto r = co_await log->ReadZc(log->head(), *a);
+    auto r = co_await log->Read(log->head(), *a);
     if (!r.ok()) {
       *st = r.error();
     } else {
@@ -241,6 +242,48 @@ TEST_F(SpliceLogTest, TornRetriesLeaveTailCacheCoherent) {
   std::vector<LogDevice::RecordInfo> records;
   LogDevice::ScanPartition(dev_, LogPartition{}, &records);
   EXPECT_EQ(records.size(), 2u);
+}
+
+// The live reader and recovery share one record parser, so a payload whose bytes rot on the
+// media after the append is refused by both: the reader with kProtocolError (whether the
+// payload came back with the header's block or needed its own read), recovery by stopping at
+// the record.
+TEST_F(SpliceLogTest, CorruptPayloadFailsTheReaderAndStopsRecovery) {
+  ASSERT_EQ(AppendSync("intact"), Status::kOk);
+  const uint64_t small_at = log_.tail();
+  ASSERT_EQ(AppendSync("rots-in-its-header-block"), Status::kOk);
+  const uint64_t large_at = log_.tail();
+  ASSERT_EQ(AppendSync(std::string(6000, 'L')), Status::kOk);  // payload spans two blocks
+
+  // Flip one payload byte of each of the last two records with a raw device write.
+  const size_t bs = dev_.config().block_size;
+  for (const uint64_t at : {small_at + LogDevice::kHeaderSize + 3, large_at + 5000}) {
+    std::vector<uint8_t> block(bs);
+    dev_.RawRead(at - at % bs, block);
+    block[at % bs] ^= 0x5A;
+    bool written = false;
+    ASSERT_EQ(dev_.SubmitWrite(at / bs, block, /*cookie=*/999), Status::kOk);
+    world_.RunUntil([&] {
+      written = dev_.NextCompletionTime() == 0;
+      return written;
+    });
+    ASSERT_TRUE(written);
+  }
+
+  uint64_t cursor = log_.head();
+  EXPECT_EQ(ReadSync(&cursor), "intact");
+  ASSERT_EQ(cursor, small_at);
+  Status status = Status::kOk;
+  ReadSync(&cursor, &status);
+  EXPECT_EQ(status, Status::kProtocolError) << "payload read with its header's block";
+  cursor = large_at;
+  ReadSync(&cursor, &status);
+  EXPECT_EQ(status, Status::kProtocolError) << "payload read with a second device read";
+  EXPECT_EQ(alloc_.GetStats().live_objects, 0u) << "a refused read must free its blocks";
+
+  std::vector<LogDevice::RecordInfo> records;
+  EXPECT_EQ(LogDevice::ScanPartition(dev_, LogPartition{}, &records), small_at);
+  EXPECT_EQ(records.size(), 1u);
 }
 
 // --- PartitionedLog: geometry, isolation, stitched recovery ---
@@ -521,6 +564,95 @@ TEST_F(CatnipSpliceTest, SpliceRejectsUnsupportedQueuePairs) {
   ASSERT_TRUE(client_sock.ok());
   auto no_disk = client_.Splice(cqd, *client_sock);
   EXPECT_EQ(no_disk.error(), Status::kNotSupported);
+}
+
+// --- The one log reader on the libOS paths ---
+
+// Pushes each payload to file queue `fqd` as one record, waiting for each to be durable.
+void PushRecords(Catnip& os, QueueDesc fqd, const std::vector<std::vector<uint8_t>>& payloads,
+                 const std::vector<LibOS*>& world) {
+  for (const std::vector<uint8_t>& payload : payloads) {
+    void* buf = os.DmaMalloc(payload.size());
+    ASSERT_NE(buf, nullptr);
+    std::memcpy(buf, payload.data(), payload.size());
+    auto push_qt = os.Push(fqd, Sgarray::Of(buf, static_cast<uint32_t>(payload.size())));
+    ASSERT_TRUE(push_qt.ok());
+    EXPECT_EQ(WaitStepped(os, *push_qt, world).status, Status::kOk);
+    os.DmaFree(buf);
+  }
+}
+
+// Pops `count` records off file queue `fqd` and returns their payloads.
+std::vector<std::vector<uint8_t>> PopRecords(Catnip& os, QueueDesc fqd, size_t count,
+                                             const std::vector<LibOS*>& world) {
+  std::vector<std::vector<uint8_t>> out;
+  for (size_t i = 0; i < count; i++) {
+    auto pop_qt = os.Pop(fqd);
+    EXPECT_TRUE(pop_qt.ok());
+    QResult r = WaitStepped(os, *pop_qt, world);
+    EXPECT_EQ(r.status, Status::kOk);
+    EXPECT_EQ(r.sga.num_segs, 1u);
+    const uint8_t* p = static_cast<const uint8_t*>(r.sga.segs[0].buf);
+    out.emplace_back(p, p + r.sga.segs[0].len);
+    os.FreeSga(r.sga);
+  }
+  return out;
+}
+
+// A record whose payload ends inside the block that holds its header costs one device read,
+// on the disk→net splice and on a file pop alike. 1,000 B payloads make 1,024 B records, four
+// to a 4 KB block, so none straddles a block.
+TEST_F(CatnipSpliceTest, SmallRecordsCostOneDeviceReadEach) {
+  auto [cqd, sconn] = Connect();
+  auto fqd = server_.Open("small-records");
+  ASSERT_TRUE(fqd.ok());
+  constexpr size_t kRecords = 16;
+  std::vector<std::vector<uint8_t>> payloads;
+  std::vector<uint8_t> expected;
+  for (size_t r = 0; r < kRecords; r++) {
+    payloads.push_back(PatternChunk(r, 1000));
+    expected.insert(expected.end(), payloads.back().begin(), payloads.back().end());
+  }
+  PushRecords(server_, *fqd, payloads, World());
+
+  const uint64_t reads_before_splice = disk_.GetStats().reads;
+  auto splice_qt = server_.Splice(*fqd, sconn);
+  ASSERT_TRUE(splice_qt.ok());
+  std::vector<uint8_t> received;
+  while (received.size() < expected.size()) {
+    auto pop_qt = client_.Pop(cqd);
+    ASSERT_TRUE(pop_qt.ok());
+    QResult r = WaitStepped(client_, *pop_qt, World());
+    ASSERT_EQ(r.status, Status::kOk);
+    for (uint32_t i = 0; i < r.sga.num_segs; i++) {
+      const uint8_t* p = static_cast<const uint8_t*>(r.sga.segs[i].buf);
+      received.insert(received.end(), p, p + r.sga.segs[i].len);
+    }
+    client_.FreeSga(r.sga);
+  }
+  EXPECT_EQ(WaitStepped(server_, *splice_qt, World()).status, Status::kOk);
+  EXPECT_EQ(received, expected);
+  EXPECT_EQ(disk_.GetStats().reads - reads_before_splice, kRecords) << "disk→net splice";
+
+  auto rqd = server_.Open("small-records");
+  ASSERT_TRUE(rqd.ok());
+  const uint64_t reads_before_pops = disk_.GetStats().reads;
+  EXPECT_EQ(PopRecords(server_, *rqd, kRecords, World()), payloads);
+  EXPECT_EQ(disk_.GetStats().reads - reads_before_pops, kRecords) << "file pop";
+}
+
+// A file pop of a record whose 24-byte header straddles a block boundary round-trips.
+TEST_F(CatnipSpliceTest, FilePopOfRecordWithStraddlingHeaderIsByteExact) {
+  auto fqd = server_.Open("straddle");
+  ASSERT_TRUE(fqd.ok());
+  // The first record fills all but 8 bytes of block 0 (24 B header + 4,064 B payload), so the
+  // second record's header spans bytes 4,088..4,111: the end of block 0 and start of block 1.
+  const size_t bs = disk_.config().block_size;
+  const std::vector<std::vector<uint8_t>> payloads = {
+      PatternChunk(1, bs - 8 - LogDevice::kHeaderSize), PatternChunk(2, 3000),
+      PatternChunk(3, 40)};
+  PushRecords(server_, *fqd, payloads, World());
+  EXPECT_EQ(PopRecords(server_, *fqd, payloads.size(), World()), payloads);
 }
 
 }  // namespace

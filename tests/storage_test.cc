@@ -10,6 +10,7 @@
 
 #include "src/common/clock.h"
 #include "src/faults/fault_injector.h"
+#include "src/memory/pool_allocator.h"
 #include "src/runtime/scheduler.h"
 #include "src/storage/log_device.h"
 #include "src/storage/sim_block_device.h"
@@ -20,6 +21,21 @@ namespace {
 
 std::span<const uint8_t> Bytes(const std::string& s) {
   return {reinterpret_cast<const uint8_t*>(s.data()), s.size()};
+}
+
+// A record read through LogDevice::Read, its payload copied out of the pool view.
+struct ReadBack {
+  std::vector<uint8_t> payload;
+  uint64_t next_cursor = 0;
+};
+
+Task<Result<ReadBack>> ReadRecord(LogDevice& log, uint64_t cursor, PoolAllocator& alloc) {
+  auto r = co_await log.Read(cursor, alloc);
+  if (!r.ok()) {
+    co_return r.error();
+  }
+  const uint8_t* p = r->payload.data();
+  co_return ReadBack{std::vector<uint8_t>(p, p + r->payload.size()), r->next_cursor};
 }
 
 class BlockDeviceTest : public ::testing::Test {
@@ -131,19 +147,20 @@ class LogDeviceTest : public ::testing::Test {
     return offset;
   }
 
-  Result<LogDevice::ReadResult> ReadSync(uint64_t cursor) {
+  Result<ReadBack> ReadSync(uint64_t cursor) {
     bool done = false;
-    Result<LogDevice::ReadResult> result = Status::kInternal;
-    sched_.Spawn([](LogDevice* log, uint64_t at, bool* done_out,
-                    Result<LogDevice::ReadResult>* out) -> Task<void> {
-      *out = co_await log->Read(at);
+    Result<ReadBack> result = Status::kInternal;
+    sched_.Spawn([](LogDevice* log, PoolAllocator* alloc, uint64_t at, bool* done_out,
+                    Result<ReadBack>* out) -> Task<void> {
+      *out = co_await ReadRecord(*log, at, *alloc);
       *done_out = true;
-    }(&log_, cursor, &done, &result));
+    }(&log_, &alloc_, cursor, &done, &result));
     RunUntil(done);
     return result;
   }
 
   SimWorld world_{LinkConfig{}, /*seed=*/1, /*max_steps=*/100'000};
+  PoolAllocator alloc_;
   SimBlockDevice dev_;
   Scheduler sched_;
   LogDevice log_;
@@ -214,12 +231,13 @@ TEST_F(LogDeviceTest, RecoveryRebuildsTailFromMedia) {
   // The recovered log reads the same records.
   bool done = false;
   std::string first;
-  sched_.Spawn([](LogDevice* log, bool* done_out, std::string* out) -> Task<void> {
-    auto r = co_await log->Read(0);
+  sched_.Spawn([](LogDevice* log, PoolAllocator* alloc, bool* done_out,
+                  std::string* out) -> Task<void> {
+    auto r = co_await ReadRecord(*log, 0, *alloc);
     EXPECT_TRUE(r.ok());
     out->assign(r->payload.begin(), r->payload.end());
     *done_out = true;
-  }(&recovered, &done, &first));
+  }(&recovered, &alloc_, &done, &first));
   polled_ = &recovered;
   world_.RunUntil([&] { return done; });
   ASSERT_TRUE(done);
@@ -245,14 +263,14 @@ TEST_F(LogDeviceTest, RecoveryAfterAppendContinuesLog) {
   std::vector<std::string> seen;
   for (int i = 0; i < 2; i++) {
     bool rdone = false;
-    sched_.Spawn([](LogDevice* log, uint64_t at, bool* done_out,
+    sched_.Spawn([](LogDevice* log, PoolAllocator* alloc, uint64_t at, bool* done_out,
                     std::vector<std::string>* seen_out, uint64_t* next) -> Task<void> {
-      auto r = co_await log->Read(at);
+      auto r = co_await ReadRecord(*log, at, *alloc);
       EXPECT_TRUE(r.ok());
       seen_out->emplace_back(r->payload.begin(), r->payload.end());
       *next = r->next_cursor;
       *done_out = true;
-    }(&recovered, cursor, &rdone, &seen, &cursor));
+    }(&recovered, &alloc_, cursor, &rdone, &seen, &cursor));
     world_.RunUntil([&] { return rdone; });
     ASSERT_TRUE(rdone);
   }
@@ -363,12 +381,12 @@ class GroupCommitWorld : public SimWorld {
     uint64_t cursor = log.head();
     for (;;) {
       bool done = false;
-      Result<LogDevice::ReadResult> r = Status::kInternal;
-      sched.Spawn([](LogDevice* l, uint64_t at, Result<LogDevice::ReadResult>* res,
+      Result<ReadBack> r = Status::kInternal;
+      sched.Spawn([](LogDevice* l, PoolAllocator* a, uint64_t at, Result<ReadBack>* res,
                      bool* d) -> Task<void> {
-        *res = co_await l->Read(at);
+        *res = co_await ReadRecord(*l, at, *a);
         *d = true;
-      }(&log, cursor, &r, &done));
+      }(&log, &alloc, cursor, &r, &done));
       RunUntil([&] { return done; });
       EXPECT_TRUE(done);
       if (!done || !r.ok()) {
@@ -397,6 +415,7 @@ class GroupCommitWorld : public SimWorld {
     return out;
   }
 
+  PoolAllocator alloc;
   SimBlockDevice dev;
   Scheduler sched;
   LogDevice log;

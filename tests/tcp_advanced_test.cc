@@ -199,28 +199,6 @@ TEST_F(TcpTinyWindowTest, ZeroWindowStallsAndRecovers) {
   (void)buffered;
 }
 
-// --- Congestion configuration ---
-
-class TcpNewRenoTest : public TcpAdvancedTest {
- protected:
-  static TcpConfig Reno() {
-    TcpConfig cfg;
-    cfg.congestion = CongestionAlgorithm::kNewReno;
-    return cfg;
-  }
-  TcpNewRenoTest() : TcpAdvancedTest(LinkConfig{.loss = 0.03}, Reno(), Reno()) {}
-};
-
-TEST_F(TcpNewRenoTest, LossyTransferUnderNewReno) {
-  auto [client, server] = EstablishPair();
-  std::string data(64 * 1024, 0);
-  for (size_t i = 0; i < data.size(); i++) {
-    data[i] = static_cast<char>(255 - i % 251);
-  }
-  PushString(a_, client, data);
-  EXPECT_EQ(DrainString(server, data.size()), data);
-}
-
 TEST_F(TcpAdvancedTest, LargeWindowScalingMovesMoreThan64K) {
   // With wscale=7 the advertised window exceeds the unscaled 64 kB cap; a 512 kB burst must
   // stream without the sender throttling to 64 kB-per-RTT.
