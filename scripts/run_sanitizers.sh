@@ -14,7 +14,8 @@
 # multi-queue NIC) and affinity_test's live metric scrape of running shards — instead of
 # the whole suite.
 # A final targeted DemiSan tree (build-demisan/, -DDEMI_OWNERSHIP_CHECKS=ON) runs the
-# cross-tenant ownership death tests that skip themselves in every other build.
+# cross-tenant ownership death tests that skip themselves in every other build, and the
+# qtoken cancel/close paths under the lifecycle checker.
 
 set -euo pipefail
 
@@ -71,13 +72,16 @@ echo "=== DEMI_OWNERSHIP_CHECKS=ON (DemiSan: ownership + thread-affinity + qtoke
 # tests/affinity_test.cc AffinityDeathTest.*) GTEST_SKIP or compile themselves out in normal
 # builds; this tree is where they actually abort. The shard/chaos suites then run end to end
 # under the affinity tags as the zero-false-positive soak: any wrong-thread touch of a bound
-# heap, flow table, TCB slab, or qtoken table aborts the run.
+# heap, flow table, TCB slab, or qtoken table aborts the run. libos_test's cancel, close and
+# wait-loop cases run here too: the lifecycle checker aborts on complete-after-free, so a
+# cancelled or closed op that still completes its released token fails this sweep.
 bdir="$ROOT/build-demisan"
 cmake -B "$bdir" -S "$ROOT" -DDEMI_OWNERSHIP_CHECKS=ON > /dev/null
 cmake --build "$bdir" -j "$JOBS" --target tenant_test affinity_test shard_test \
-  tenant_chaos_test splice_chaos_test > /dev/null
+  tenant_chaos_test splice_chaos_test libos_test > /dev/null
 "$bdir/tests/tenant_test" --gtest_filter='TenantDemiSan*'
 "$bdir/tests/affinity_test"
+"$bdir/tests/libos_test" --gtest_filter='*Cancel*:*Close*:WaitLoop*:AbandonedPop*'
 "$bdir/tests/shard_test" --gtest_filter='ShardGroup*'
 "$bdir/tests/tenant_chaos_test"
 "$bdir/tests/splice_chaos_test"

@@ -165,18 +165,21 @@ EchoClientResult RunEchoClient(LibOS& os, const EchoClientOptions& options) {
   DEMI_CHECK_MSG(conn_r.ok() && conn_r->status == Status::kOk, "echo client: connect failed");
 
   Clock& clock = os.clock();
-  // A pop whose wait timed out is NOT abandoned: its coroutine stays queued on the socket and
-  // will consume the next datagram. Carry the token forward and re-wait it, or the stolen
-  // datagram makes the next pop time out too (a one-shot error that metrics show as
-  // "every datagram delivered, one qtoken never redeemed").
-  QToken carry_pop = kInvalidQToken;
-  auto next_pop = [&]() -> Result<QToken> {
-    if (carry_pop == kInvalidQToken) {
-      return os.Pop(*sock);
+  // Pops one reply within `timeout`. A pop still pending then is cancelled, so the next reply
+  // goes to the next pop; a reply that landed just before the cancel is freed.
+  auto pop_within = [&](DurationNs timeout) -> Result<QResult> {
+    auto pop = os.Pop(*sock);
+    if (!pop.ok()) {
+      return pop.error();
     }
-    const QToken qt = carry_pop;
-    carry_pop = kInvalidQToken;
-    return qt;
+    auto r = os.Wait(*pop, timeout);
+    if (!r.ok() && r.error() == Status::kTimedOut) {
+      auto late = os.Cancel(*pop);
+      if (late.ok() && late->status == Status::kOk) {
+        os.FreeSga(late->sga);
+      }
+    }
+    return r;
   };
   if (options.type == SocketType::kDatagram) {
     // Datagrams are fire-and-forget: probe until the server answers, so a not-yet-bound server
@@ -190,34 +193,13 @@ EchoClientResult RunEchoClient(LibOS& os, const EchoClientOptions& options) {
       if (!push.ok()) {
         continue;
       }
-      auto pop = next_pop();
-      if (!pop.ok()) {
-        continue;
-      }
-      auto pr = os.Wait(*pop, 20 * kMillisecond);
-      if (!pr.ok() && pr.error() == Status::kTimedOut) {
-        carry_pop = *pop;
-        continue;
-      }
+      auto pr = pop_within(20 * kMillisecond);
       if (pr.ok() && pr->status == Status::kOk) {
         os.FreeSga(pr->sga);
         ready = true;
         // Drain any duplicate probe echoes (extra probes sent while the server was binding).
-        for (;;) {
-          auto extra = next_pop();
-          if (!extra.ok()) {
-            break;
-          }
-          auto er = os.Wait(*extra, 2 * kMillisecond);
-          if (!er.ok()) {
-            if (er.error() == Status::kTimedOut) {
-              carry_pop = *extra;  // nothing more in flight; first measured pop reuses this
-            }
-            break;
-          }
-          if (er->status != Status::kOk) {
-            break;
-          }
+        for (auto er = pop_within(2 * kMillisecond); er.ok() && er->status == Status::kOk;
+             er = pop_within(2 * kMillisecond)) {
           os.FreeSga(er->sga);
         }
       }
@@ -244,21 +226,12 @@ EchoClientResult RunEchoClient(LibOS& os, const EchoClientOptions& options) {
     size_t received = 0;
     bool failed = false;
     while (received < options.message_size && !failed) {
-      auto pop_qt = next_pop();
-      if (!pop_qt.ok()) {
-        failed = true;
-        break;
+      auto pop_r = pop_within(5 * kSecond);
+      failed = !pop_r.ok() || pop_r->status != Status::kOk;
+      if (!failed) {
+        received += pop_r->sga.TotalBytes();
+        os.FreeSga(pop_r->sga);
       }
-      auto pop_r = os.Wait(*pop_qt, 5 * kSecond);
-      if (!pop_r.ok() || pop_r->status != Status::kOk) {
-        if (!pop_r.ok() && pop_r.error() == Status::kTimedOut) {
-          carry_pop = *pop_qt;  // keep the queued pop: the next reply belongs to it
-        }
-        failed = true;
-        break;
-      }
-      received += pop_r->sga.TotalBytes();
-      os.FreeSga(pop_r->sga);
     }
     if (failed) {
       result.errors++;

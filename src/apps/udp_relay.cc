@@ -7,7 +7,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <utility>
 #include <vector>
 
 #include "src/common/logging.h"
@@ -158,21 +157,19 @@ RelayLoadResult RunRelayLoadGenerator(LibOS& os, const RelayLoadOptions& options
   void* pkt = os.DmaMalloc(options.packet_size);
   std::memset(pkt, 0x5C, options.packet_size);
   Clock& clock = os.clock();
-  // A pop whose wait timed out stays posted and will consume the next datagram. Carry it
-  // forward and re-wait it, or that datagram is swallowed by an abandoned token and the
-  // next measured pop waits out its whole timeout (RunEchoClient's carry_pop does the same).
-  QToken carry_pop = kInvalidQToken;
-  auto next_pop = [&]() -> Result<QToken> {
-    if (carry_pop == kInvalidQToken) {
-      return os.Pop(*rx);
+  // Pops one forwarded packet within `timeout`. A pop still pending then is cancelled, so the
+  // next packet goes to the next pop; one that landed just before the cancel is freed.
+  auto pop_within = [&](DurationNs timeout) -> Result<QResult> {
+    auto pop = os.Pop(*rx);
+    if (!pop.ok()) {
+      return pop.error();
     }
-    return std::exchange(carry_pop, kInvalidQToken);
-  };
-  // Waits on `pop`; a timed-out pop is kept for the next call of next_pop().
-  auto wait_pop = [&](QToken pop, DurationNs timeout) {
-    auto r = os.Wait(pop, timeout);
+    auto r = os.Wait(*pop, timeout);
     if (!r.ok() && r.error() == Status::kTimedOut) {
-      carry_pop = pop;
+      auto late = os.Cancel(*pop);
+      if (late.ok() && late->status == Status::kOk) {
+        os.FreeSga(late->sga);
+      }
     }
     return r;
   };
@@ -184,24 +181,13 @@ RelayLoadResult RunRelayLoadGenerator(LibOS& os, const RelayLoadOptions& options
     if (!push.ok()) {
       continue;
     }
-    auto pop = next_pop();
-    if (!pop.ok()) {
-      continue;
-    }
-    auto r = wait_pop(*pop, 20 * kMillisecond);
+    auto r = pop_within(20 * kMillisecond);
     if (r.ok() && r->status == Status::kOk) {
       os.FreeSga(r->sga);
       ready = true;
       // Drain duplicate forwards of the extra probes sent while the relay was binding.
-      for (;;) {
-        auto extra = next_pop();
-        if (!extra.ok()) {
-          break;
-        }
-        auto er = wait_pop(*extra, 2 * kMillisecond);
-        if (!er.ok() || er->status != Status::kOk) {
-          break;
-        }
+      for (auto er = pop_within(2 * kMillisecond); er.ok() && er->status == Status::kOk;
+           er = pop_within(2 * kMillisecond)) {
         os.FreeSga(er->sga);
       }
     }
@@ -215,9 +201,7 @@ RelayLoadResult RunRelayLoadGenerator(LibOS& os, const RelayLoadOptions& options
       result.lost++;
       continue;
     }
-    auto pop = next_pop();
-    DEMI_CHECK(pop.ok());
-    auto r = wait_pop(*pop, 200 * kMillisecond);
+    auto r = pop_within(200 * kMillisecond);
     if (!r.ok() || r->status != Status::kOk) {
       result.lost++;
       continue;

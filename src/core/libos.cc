@@ -1,5 +1,7 @@
 #include "src/core/libos.h"
 
+#include <cstring>
+
 namespace demi {
 
 void LibOS::InitObservability() {
@@ -147,6 +149,35 @@ Status LibOS::RegisterTenant(TenantId tenant, const TenantConfig& config) {
   }
   OnTenantRegistered(tenant, config);
   return Status::kOk;
+}
+
+Result<QResult> LibOS::Cancel(QToken qt) {
+  Scheduler::FiberId fiber = Scheduler::kInvalidFiber;
+  Result<QResult> r = tokens_.Cancel(qt, &fiber);
+  if (fiber != Scheduler::kInvalidFiber) {
+    sched_.WakerFor(fiber).Wake();  // it finds its token gone and exits without taking input
+  }
+  return r;
+}
+
+Buffer LibOS::GatherSga(const Sgarray& sga, TenantId tenant, bool copy) {
+  const bool gather = copy || sga.num_segs != 1;
+  Buffer buf = gather ? Buffer::TryAllocate(alloc_, sga.TotalBytes(), tenant)
+                      : Buffer::TryFromApp(alloc_, sga.segs[0].buf, sga.segs[0].len, tenant);
+  if (!buf.valid()) {
+    if (tenant != kDefaultTenant) {
+      tracer_.Record(TraceEventType::kTenantMemDeny, tenant, sga.TotalBytes());
+    }
+    return buf;
+  }
+  if (gather) {
+    size_t off = 0;
+    for (uint32_t i = 0; i < sga.num_segs; i++) {
+      std::memcpy(buf.mutable_data() + off, sga.segs[i].buf, sga.segs[i].len);
+      off += sga.segs[i].len;
+    }
+  }
+  return buf;
 }
 
 size_t LibOS::DrainPendingTokens() {

@@ -6,6 +6,11 @@
 // implemented here — they run the scheduler (fast-path + background coroutines) until the
 // requested tokens complete, which is how application threads donate cycles to the datapath OS
 // (cooperative scheduling, §3.2).
+//
+// Every blocking accept, connect and pop goes through one park-and-retry path, RunBlocking:
+// the libOS writes the op once as an attempt that either finishes it or names what to wait on.
+// The attempt runs inline first (the fast path); a blocked op gets one fiber that retries it
+// after every wake until it completes or its token is cancelled (Cancel).
 
 #ifndef SRC_CORE_LIBOS_H_
 #define SRC_CORE_LIBOS_H_
@@ -13,6 +18,7 @@
 #include <functional>
 #include <span>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "src/common/clock.h"
@@ -23,6 +29,7 @@
 #include "src/memory/pool_allocator.h"
 #include "src/observability/metrics.h"
 #include "src/observability/trace.h"
+#include "src/runtime/event.h"
 #include "src/runtime/scheduler.h"
 
 namespace demi {
@@ -93,6 +100,13 @@ class LibOS {
   // Non-blocking check/claim.
   bool IsDone(QToken qt) const { return tokens_.IsDone(qt); }
   Result<QResult> TryTake(QToken qt) { return tokens_.Take(qt); }
+
+  // Retires a pop or accept and consumes its token (docs/API.md, Cancel). A completed op hands
+  // back its result as TryTake does (the app owns any sga); a pending one returns status
+  // kCancelled, its fiber exits by the next poll without taking input, and the next input
+  // goes to the next op posted on the queue. kBadQToken for a stale token; kNotSupported for
+  // any other op, whose token stays live.
+  Result<QResult> Cancel(QToken qt);
 
   // --- Multi-tenancy (docs/TENANCY.md) ---
   // Registers an isolation domain: installs its memory budget on the DMA heap, publishes its
@@ -182,6 +196,40 @@ class LibOS {
   // Completes a qtoken inline (fast path) or from a coroutine.
   void CompleteToken(QToken qt, QResult result) { tokens_.Complete(qt, std::move(result)); }
 
+  // The one sga->Buffer gather behind datagram, message and memory-queue pushes: a single
+  // segment is referenced zero-copy (TryFromApp), several are copied into one allocation, as is
+  // any sga when `copy` asks for a libOS-owned object. Invalid when the heap or `tenant`'s
+  // budget is exhausted (traced as a tenant memory denial): the push completes with kNoMemory.
+  Buffer GatherSga(const Sgarray& sga, TenantId tenant, bool copy = false);
+
+  static QResult Done(Status status) {
+    QResult r;
+    r.status = status;
+    return r;
+  }
+
+  // One attempt at a blocking op: its result, or what to wait on before the next attempt.
+  struct Blocked {
+    Event* event = nullptr;  // nullptr: retry on the next scheduler round (polled sockets)
+  };
+  using Attempt = std::variant<QResult, Blocked>;
+
+  // The one park-and-retry path for every blocking accept, connect and pop. Runs `attempt`
+  // inline and completes `qt` with its result; a blocked op gets one fiber that checks the
+  // token is still live before every retry. An attempt that looks its queue up again and finds
+  // it closed returns kCancelled; the Event it returned is never touched after the wake, so
+  // Close may free it right after notifying it.
+  template <typename AttemptFn>
+  QToken RunBlocking(QToken qt, AttemptFn attempt) {
+    Attempt a = attempt();
+    if (QResult* r = std::get_if<QResult>(&a)) {
+      CompleteToken(qt, std::move(*r));
+    } else {
+      tokens_.SetFiber(qt, sched_.Spawn(RetryFiber(qt, std::move(attempt))));
+    }
+    return qt;
+  }
+
   void RunExternalPump() {
     if (external_pump_) {
       external_pump_();
@@ -216,6 +264,24 @@ class LibOS {
   template <typename OnClaim>
   Result<size_t> WaitLoop(std::span<const QToken> qts, DurationNs timeout, bool claim_all,
                           OnClaim&& on_claim);
+
+  // RunBlocking's fiber. It attempts before its first wait: an event notified between the
+  // inline attempt and this fiber's first run would otherwise be missed.
+  template <typename AttemptFn>
+  Task<void> RetryFiber(QToken qt, AttemptFn attempt) {
+    while (tokens_.IsValid(qt)) {  // a cancelled token leaves the input to the next op
+      Attempt a = attempt();
+      if (QResult* r = std::get_if<QResult>(&a)) {
+        CompleteToken(qt, std::move(*r));
+        co_return;
+      }
+      if (Event* event = std::get<Blocked>(a).event) {
+        co_await event->Wait();
+      } else {
+        co_await Scheduler::Yield{};
+      }
+    }
+  }
 
   Counter* wait_calls_ = nullptr;
   Counter* wait_poll_rounds_ = nullptr;

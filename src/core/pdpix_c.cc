@@ -212,6 +212,18 @@ int demi_wait(demi_qresult_t* out, demi_qtoken_t qt, uint64_t timeout_ns) {
   return 0;
 }
 
+int demi_cancel(demi_qresult_t* out, demi_qtoken_t qt) {
+  if (g_current_libos == nullptr || out == nullptr) {
+    return -EINVAL;
+  }
+  auto r = g_current_libos->Cancel(qt);
+  if (!r.ok()) {
+    return demi::StatusToErrno(r.error());
+  }
+  *out = demi::ToC(*r);
+  return 0;
+}
+
 int demi_wait_any(demi_qresult_t* out, size_t* index_out, const demi_qtoken_t* qts,
                   size_t num_qts, uint64_t timeout_ns) {
   if (g_current_libos == nullptr || out == nullptr || qts == nullptr) {

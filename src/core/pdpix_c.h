@@ -87,6 +87,11 @@ int demi_wait_any(demi_qresult_t* out, size_t* index_out, const demi_qtoken_t* q
                   size_t num_qts, uint64_t timeout_ns);
 int demi_wait_all(demi_qresult_t* out /* num_qts entries */, const demi_qtoken_t* qts,
                   size_t num_qts, uint64_t timeout_ns);
+/* Retires a pop or accept and consumes its token: a completed op's result lands in *out (the
+ * app owns its sga); a pending one returns with out->error == -ECANCELED and the next input
+ * goes to the next op posted on the queue. -EINVAL for a stale token; -EOPNOTSUPP for any
+ * other op, whose token stays live. */
+int demi_cancel(demi_qresult_t* out, demi_qtoken_t qt);
 
 /* Memory: the DMA-capable heap. */
 demi_sgarray_t demi_sga_alloc(uint32_t size);

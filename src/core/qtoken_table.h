@@ -6,7 +6,8 @@
 // inline on the fast path or from a libOS coroutine.
 //
 // Lifecycle checking (docs/STATIC_ANALYSIS.md): every qtoken moves through
-// alloc -> pending -> completed -> harvested, and each slot remembers the generation it most
+// alloc -> pending -> completed -> harvested (a Cancel of a pending pop or accept completes it
+// with kCancelled and harvests it in one step), and each slot remembers the generation it most
 // recently released plus whether that release came from a shutdown Drain. A stale Take or
 // Complete against that remembered generation is therefore classifiable:
 //   - Take of an already-harvested token   -> double-wait
@@ -64,6 +65,7 @@ class QTokenTable {  // demilint: shard-local
     e.in_use = true;
     e.done = false;
     e.tenant = tenant;
+    e.fiber = Scheduler::kInvalidFiber;
     e.result = QResult{};
     e.result.opcode = op;
     e.result.qd = qd;
@@ -134,6 +136,33 @@ class QTokenTable {  // demilint: shard-local
     return result;
   }
 
+  // Records the fiber that retries a blocked op, so Cancel can wake it.
+  void SetFiber(QToken qt, Scheduler::FiberId fiber) {
+    if (Entry* e = Lookup(qt)) {
+      e->fiber = fiber;
+    }
+  }
+
+  // Retires a pop or accept (LibOS::Cancel): a completed one is taken as it is; a pending one
+  // is taken with kCancelled, and `*fiber` receives the fiber retrying it (kInvalidFiber if
+  // none). A stale token is kBadQToken; any other op is kNotSupported and stays live.
+  Result<QResult> Cancel(QToken qt, Scheduler::FiberId* fiber) {
+    affinity_.Check("QTokenTable::Cancel");
+    Entry* e = Lookup(qt);
+    if (e == nullptr) {
+      return Status::kBadQToken;
+    }
+    if (e->result.opcode != OpCode::kPop && e->result.opcode != OpCode::kAccept) {
+      return Status::kNotSupported;
+    }
+    if (!e->done) {
+      *fiber = e->fiber;
+      e->result.status = Status::kCancelled;
+      e->done = true;
+    }
+    return Take(qt);
+  }
+
   size_t NumPending() const {
     size_t n = 0;
     for (const auto& e : entries_) {
@@ -196,6 +225,7 @@ class QTokenTable {  // demilint: shard-local
     bool in_use = false;
     bool done = false;
     TenantId tenant = kDefaultTenant;
+    Scheduler::FiberId fiber = Scheduler::kInvalidFiber;  // retries the op while it is blocked
     QResult result;
   };
 

@@ -151,10 +151,7 @@ void Catmint::TrySendBlocked(Connection& conn) {
          conn.state == Connection::State::kEstablished) {
     PendingSend ps = std::move(conn.blocked_sends.front());
     conn.blocked_sends.pop_front();
-    const Status s = SendData(conn, ps.data);
-    QResult r;
-    r.status = s;
-    tokens_.Complete(ps.qt, r);
+    CompleteToken(ps.qt, Done(SendData(conn, ps.data)));
   }
 }
 
@@ -320,9 +317,8 @@ Task<void> Catmint::SendFiber(std::shared_ptr<Connection> conn) {
   }
   // Fail any sends still blocked at close.
   while (!conn->blocked_sends.empty()) {
-    QResult r;
-    r.status = conn->error == Status::kOk ? Status::kCancelled : conn->error;
-    tokens_.Complete(conn->blocked_sends.front().qt, r);
+    CompleteToken(conn->blocked_sends.front().qt,
+                  Done(conn->error == Status::kOk ? Status::kCancelled : conn->error));
     conn->blocked_sends.pop_front();
   }
 }
@@ -378,33 +374,21 @@ Result<QToken> Catmint::Accept(QueueDesc qd) {
   if (q == nullptr || q->kind != QKind::kListener) {
     return Status::kBadQueueDescriptor;
   }
-  const QToken qt = tokens_.Allocate(OpCode::kAccept, qd);
-  sched_.Spawn(AcceptOp(qd, qt));
-  return qt;
-}
-
-Task<void> Catmint::AcceptOp(QueueDesc qd, QToken qt) {
-  for (;;) {
-    QueueState* q = Find(qd);
-    if (q == nullptr || q->kind != QKind::kListener) {
-      QResult r;
-      r.status = Status::kCancelled;
-      CompleteToken(qt, r);
-      co_return;
+  return RunBlocking(tokens_.Allocate(OpCode::kAccept, qd), [this, qd]() -> Attempt {
+    QueueState* queue = Find(qd);
+    if (queue == nullptr || queue->kind != QKind::kListener) {
+      return Done(Status::kCancelled);
     }
-    if (!q->listener->pending.empty()) {
-      auto conn = std::move(q->listener->pending.front());
-      q->listener->pending.pop_front();
-      QResult r;
-      r.status = Status::kOk;
-      r.remote = conn->peer_addr;
-      r.new_qd = InstallConnQueue(std::move(conn));
-      CompleteToken(qt, r);
-      co_return;
+    if (queue->listener->pending.empty()) {
+      return Blocked{&queue->listener->acceptable};
     }
-    // Close wakes us and frees the listener: look the queue up again after every wake.
-    co_await q->listener->acceptable.Wait();
-  }
+    auto conn = std::move(queue->listener->pending.front());
+    queue->listener->pending.pop_front();
+    QResult r;
+    r.remote = conn->peer_addr;
+    r.new_qd = InstallConnQueue(std::move(conn));
+    return r;
+  });
 }
 
 Result<QToken> Catmint::Connect(QueueDesc qd, SocketAddress remote) {
@@ -422,19 +406,14 @@ Result<QToken> Catmint::Connect(QueueDesc qd, SocketAddress remote) {
   q->conn = conn;
   sched_.Spawn(SendFiber(conn));
   SendControl(kMsgConnect, conn->peer_mac, conn->id, 0, remote.port, conn.get());
-  const QToken qt = tokens_.Allocate(OpCode::kConnect, qd);
-  sched_.Spawn(ConnectOp(qt, conn));
-  return qt;
-}
-
-Task<void> Catmint::ConnectOp(QToken qt, std::shared_ptr<Connection> conn) {
-  while (conn->state == Connection::State::kConnecting) {
-    co_await conn->established.Wait();
-  }
-  QResult r;
-  r.status = conn->state == Connection::State::kEstablished ? Status::kOk : conn->error;
-  r.remote = conn->peer_addr;
-  CompleteToken(qt, r);
+  return RunBlocking(tokens_.Allocate(OpCode::kConnect, qd), [conn]() -> Attempt {
+    if (conn->state == Connection::State::kConnecting) {
+      return Blocked{&conn->established};
+    }
+    QResult r = Done(conn->state == Connection::State::kEstablished ? Status::kOk : conn->error);
+    r.remote = conn->peer_addr;
+    return r;
+  });
 }
 
 Result<QToken> Catmint::Push(QueueDesc qd, const Sgarray& sga) {
@@ -457,28 +436,19 @@ Result<QToken> Catmint::Push(QueueDesc qd, const Sgarray& sga) {
   }
 
   // One message per push. Single-segment pushes ride zero-copy; multi-segment gathers flatten.
-  Buffer data;
-  if (sga.num_segs == 1) {
-    data = Buffer::FromApp(alloc_, sga.segs[0].buf, sga.segs[0].len);
-    if (data.size() >= PoolAllocator::kZeroCopyThreshold) {
-      data.Rkey();
-    }
-  } else {
-    data = Buffer::Allocate(alloc_, sga.TotalBytes());
-    size_t off = 0;
-    for (uint32_t i = 0; i < sga.num_segs; i++) {
-      std::memcpy(data.mutable_data() + off, sga.segs[i].buf, sga.segs[i].len);
-      off += sga.segs[i].len;
-    }
-  }
-
+  Buffer data = GatherSga(sga, kDefaultTenant);
   const QToken qt = tokens_.Allocate(OpCode::kPush, qd);
+  if (!data.valid()) {
+    CompleteToken(qt, Done(Status::kNoMemory));  // heap exhausted: ENOMEM, as on Catnip
+    return qt;
+  }
+  if (data.size() >= PoolAllocator::kZeroCopyThreshold) {
+    data.Rkey();
+  }
   if (conn.state == Connection::State::kEstablished && conn.blocked_sends.empty() &&
       CreditsAvailable(conn) > 0) {
     // Fast path: send inline.
-    QResult r;
-    r.status = SendData(conn, data);
-    CompleteToken(qt, r);
+    CompleteToken(qt, Done(SendData(conn, data)));
     return qt;
   }
   // Slow path: out of credits (or still connecting); the send fiber drains us later.
@@ -498,47 +468,21 @@ Result<QToken> Catmint::Pop(QueueDesc qd) {
   if (q->kind != QKind::kConn) {
     return Status::kNotConnected;
   }
-  const QToken qt = tokens_.Allocate(OpCode::kPop, qd);
-  if (!q->conn->rx.empty()) {
-    // Fast path: message already here.
-    Connection& conn = *q->conn;
-    Buffer data = std::move(conn.rx.front());
-    conn.rx.pop_front();
-    conn.local_consumed++;
-    need_repost_.Notify();  // let the flow fiber publish the credit
-    QResult r;
-    r.status = Status::kOk;
-    r.remote = conn.peer_addr;
-    r.sga = BufferToAppSga(std::move(data));
-    CompleteToken(qt, r);
-    return qt;
-  }
-  sched_.Spawn(PopOp(qd, qt, q->conn));
-  return qt;
-}
-
-Task<void> Catmint::PopOp(QueueDesc qd, QToken qt, std::shared_ptr<Connection> conn) {
-  for (;;) {
+  return RunBlocking(tokens_.Allocate(OpCode::kPop, qd), [this, conn = q->conn]() -> Attempt {
     if (!conn->rx.empty()) {
-      Buffer data = std::move(conn->rx.front());
+      QResult r;
+      r.remote = conn->peer_addr;
+      r.sga = BufferToAppSga(std::move(conn->rx.front()));
       conn->rx.pop_front();
       conn->local_consumed++;
-      need_repost_.Notify();
-      QResult r;
-      r.status = Status::kOk;
-      r.remote = conn->peer_addr;
-      r.sga = BufferToAppSga(std::move(data));
-      CompleteToken(qt, r);
-      co_return;
+      need_repost_.Notify();  // let the flow fiber publish the credit
+      return r;
     }
     if (conn->remote_closed || conn->state == Connection::State::kClosed) {
-      QResult r;
-      r.status = conn->error == Status::kOk ? Status::kEndOfFile : conn->error;
-      CompleteToken(qt, r);
-      co_return;
+      return Done(conn->error == Status::kOk ? Status::kEndOfFile : conn->error);
     }
-    co_await conn->readable.Wait();
-  }
+    return Blocked{&conn->readable};
+  });
 }
 
 Result<QueueDesc> Catmint::Open(std::string_view path) {
@@ -559,9 +503,9 @@ Status Catmint::Truncate(QueueDesc qd, uint64_t offset) {
   return storage_ != nullptr ? storage_->Truncate(qd, offset) : Status::kBadQueueDescriptor;
 }
 
-// Tears the queue down at once, as Catnip::Close does: a woken AcceptOp looks its queue up
-// again and completes with kCancelled, pops hold their Connection, and the engine cancels
-// in-flight file pops.
+// Tears the queue down at once, as Catnip::Close does: a woken accept looks its queue up again
+// and completes with kCancelled, pops hold their Connection, and the engine cancels in-flight
+// file pops.
 Status Catmint::Close(QueueDesc qd) {
   auto it = queues_.find(qd);
   if (it == queues_.end()) {

@@ -133,9 +133,6 @@ class Catmint final : public LibOS {
 
   Task<void> FastPathFiber();
   Task<void> FlowControlFiber();
-  Task<void> AcceptOp(QueueDesc qd, QToken qt);
-  Task<void> PopOp(QueueDesc qd, QToken qt, std::shared_ptr<Connection> conn);
-  Task<void> ConnectOp(QToken qt, std::shared_ptr<Connection> conn);
   Task<void> SendFiber(std::shared_ptr<Connection> conn);
 
   QueueDesc InstallConnQueue(std::shared_ptr<Connection> conn);

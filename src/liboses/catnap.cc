@@ -119,48 +119,34 @@ Status Catnap::Listen(QueueDesc qd, int backlog) {
   return Status::kOk;
 }
 
+// Catnap's sockets are polled: a blocked attempt retries on the next scheduler round, and
+// every attempt looks its queue up again, so a closed (and perhaps reused) fd is never touched.
 Result<QToken> Catnap::Accept(QueueDesc qd) {
   QueueState* q = Find(qd);
   if (q == nullptr || q->kind != QKind::kTcpListener) {
     return Status::kBadQueueDescriptor;
   }
-  const QToken qt = tokens_.Allocate(OpCode::kAccept, qd);
-  sched_.Spawn(AcceptOp(qd, qt, q->fd));
-  return qt;
-}
-
-Task<void> Catnap::AcceptOp(QueueDesc qd, QToken qt, int fd) {
-  for (;;) {
+  return RunBlocking(tokens_.Allocate(OpCode::kAccept, qd), [this, qd]() -> Attempt {
+    QueueState* queue = Find(qd);
+    if (queue == nullptr) {
+      return Done(Status::kCancelled);
+    }
     sockaddr_in peer{};
     socklen_t peer_len = sizeof(peer);
     const int conn_fd =
-        ::accept4(fd, reinterpret_cast<sockaddr*>(&peer), &peer_len, SOCK_NONBLOCK);
-    if (conn_fd >= 0) {
-      const int one = 1;
-      ::setsockopt(conn_fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      QResult r;
-      r.status = Status::kOk;
-      r.new_qd = InstallFd(conn_fd, QKind::kTcp, SocketType::kStream);
-      queues_[r.new_qd].connected = true;
-      r.remote = FromSockaddr(peer);
-      CompleteToken(qt, r);
-      co_return;
+        ::accept4(queue->fd, reinterpret_cast<sockaddr*>(&peer), &peer_len, SOCK_NONBLOCK);
+    if (conn_fd < 0) {
+      return errno == EAGAIN || errno == EWOULDBLOCK ? Attempt{Blocked{}}
+                                                     : Attempt{Done(ErrnoToStatus(errno))};
     }
-    if (errno != EAGAIN && errno != EWOULDBLOCK) {
-      QResult r;
-      r.status = ErrnoToStatus(errno);
-      CompleteToken(qt, r);
-      co_return;
-    }
-    // Polling accept: yield and retry (Catnap's polling design).
-    co_await Scheduler::Yield{};
-    if (Find(qd) == nullptr) {
-      QResult r;
-      r.status = Status::kCancelled;
-      CompleteToken(qt, r);
-      co_return;
-    }
-  }
+    const int one = 1;
+    ::setsockopt(conn_fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    QResult r;
+    r.new_qd = InstallFd(conn_fd, QKind::kTcp, SocketType::kStream);
+    queues_[r.new_qd].connected = true;
+    r.remote = FromSockaddr(peer);
+    return r;
+  });
 }
 
 Result<QToken> Catnap::Connect(QueueDesc qd, SocketAddress remote) {
@@ -174,57 +160,36 @@ Result<QToken> Catnap::Connect(QueueDesc qd, SocketAddress remote) {
   if (rc == 0 || q->kind == QKind::kUdp) {
     q->connected = true;
     QResult r;
-    r.status = Status::kOk;
     r.remote = remote;
     CompleteToken(qt, r);
     return qt;
   }
   if (errno != EINPROGRESS) {
-    QResult r;
-    r.status = ErrnoToStatus(errno);
-    CompleteToken(qt, r);
+    CompleteToken(qt, Done(ErrnoToStatus(errno)));
     return qt;
   }
-  sched_.Spawn(ConnectOp(qd, qt, q->fd));
-  return qt;
-}
-
-Task<void> Catnap::ConnectOp(QueueDesc qd, QToken qt, int fd) {
-  for (;;) {
-    // A second connect on an in-progress socket reports the outcome.
-    sockaddr_in sa{};
-    socklen_t len = sizeof(sa);
-    if (::getpeername(fd, reinterpret_cast<sockaddr*>(&sa), &len) == 0) {
-      QueueState* q = Find(qd);
-      if (q != nullptr) {
-        q->connected = true;
-      }
+  return RunBlocking(qt, [this, qd]() -> Attempt {
+    QueueState* queue = Find(qd);
+    if (queue == nullptr) {
+      return Done(Status::kCancelled);
+    }
+    // A connected socket has a peer; otherwise SO_ERROR tells in-progress from failed.
+    sockaddr_in peer{};
+    socklen_t len = sizeof(peer);
+    if (::getpeername(queue->fd, reinterpret_cast<sockaddr*>(&peer), &len) == 0) {
+      queue->connected = true;
       QResult r;
-      r.status = Status::kOk;
-      r.remote = FromSockaddr(sa);
-      CompleteToken(qt, r);
-      co_return;
+      r.remote = FromSockaddr(peer);
+      return r;
     }
-    if (errno == ENOTCONN) {
-      // Still in progress, or failed: check SO_ERROR.
-      int so_error = 0;
-      socklen_t err_len = sizeof(so_error);
-      ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &so_error, &err_len);
-      if (so_error != 0) {
-        QResult r;
-        r.status = ErrnoToStatus(so_error);
-        CompleteToken(qt, r);
-        co_return;
-      }
+    int so_error = 0;
+    socklen_t err_len = sizeof(so_error);
+    if (errno == ENOTCONN &&
+        ::getsockopt(queue->fd, SOL_SOCKET, SO_ERROR, &so_error, &err_len) == 0 && so_error != 0) {
+      return Done(ErrnoToStatus(so_error));
     }
-    co_await Scheduler::Yield{};
-    if (Find(qd) == nullptr) {
-      QResult r;
-      r.status = Status::kCancelled;
-      CompleteToken(qt, r);
-      co_return;
-    }
-  }
+    return Blocked{};
+  });
 }
 
 Result<QToken> Catnap::Push(QueueDesc qd, const Sgarray& sga) {
@@ -246,14 +211,9 @@ Result<QToken> Catnap::Push(QueueDesc qd, const Sgarray& sga) {
       std::memcpy(rec.data() + off, sga.segs[i].buf, sga.segs[i].len);
       off += sga.segs[i].len;
     }
-    QResult r;
     const ssize_t n = ::write(q->fd, rec.data(), rec.size());
-    if (n != static_cast<ssize_t>(rec.size()) || ::fsync(q->fd) != 0) {
-      r.status = ErrnoToStatus(errno);
-    } else {
-      r.status = Status::kOk;
-    }
-    CompleteToken(qt, r);
+    const bool durable = n == static_cast<ssize_t>(rec.size()) && ::fsync(q->fd) == 0;
+    CompleteToken(qt, Done(durable ? Status::kOk : ErrnoToStatus(errno)));
     return qt;
   }
   if (q->kind == QKind::kUdp) {
@@ -268,9 +228,7 @@ Result<QToken> Catnap::Push(QueueDesc qd, const Sgarray& sga) {
     msghdr msg{};
     msg.msg_iov = iov;
     msg.msg_iovlen = sga.num_segs;
-    QResult r;
-    r.status = ::sendmsg(q->fd, &msg, 0) < 0 ? ErrnoToStatus(errno) : Status::kOk;
-    CompleteToken(qt, r);
+    CompleteToken(qt, Done(::sendmsg(q->fd, &msg, 0) < 0 ? ErrnoToStatus(errno) : Status::kOk));
     return qt;
   }
   // TCP: try an inline gather write; finish leftovers in a coroutine on short writes.
@@ -282,15 +240,11 @@ Result<QToken> Catnap::Push(QueueDesc qd, const Sgarray& sga) {
   const ssize_t n = ::writev(q->fd, iov, static_cast<int>(sga.num_segs));
   const size_t total = sga.TotalBytes();
   if (n == static_cast<ssize_t>(total)) {
-    QResult r;
-    r.status = Status::kOk;
-    CompleteToken(qt, r);
+    CompleteToken(qt, Done(Status::kOk));
     return qt;
   }
   if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
-    QResult r;
-    r.status = ErrnoToStatus(errno);
-    CompleteToken(qt, r);
+    CompleteToken(qt, Done(ErrnoToStatus(errno)));
     return qt;
   }
   // Pin the application buffers for the remainder of the write: PDPIX lets the app free
@@ -331,22 +285,16 @@ Task<void> Catnap::PushSocketOp(QueueDesc qd, QToken qt, int fd, std::vector<Buf
       continue;
     }
     if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
-      QResult r;
-      r.status = ErrnoToStatus(errno);
-      CompleteToken(qt, r);
+      CompleteToken(qt, Done(ErrnoToStatus(errno)));
       co_return;
     }
     co_await Scheduler::Yield{};
     if (Find(qd) == nullptr) {
-      QResult r;
-      r.status = Status::kCancelled;
-      CompleteToken(qt, r);
+      CompleteToken(qt, Done(Status::kCancelled));
       co_return;
     }
   }
-  QResult r;
-  r.status = Status::kOk;
-  CompleteToken(qt, r);
+  CompleteToken(qt, Done(Status::kOk));
 }
 
 Result<QToken> Catnap::PushTo(QueueDesc qd, const Sgarray& sga, SocketAddress to) {
@@ -365,9 +313,7 @@ Result<QToken> Catnap::PushTo(QueueDesc qd, const Sgarray& sga, SocketAddress to
   msg.msg_namelen = sizeof(sa);
   msg.msg_iov = iov;
   msg.msg_iovlen = sga.num_segs;
-  QResult r;
-  r.status = ::sendmsg(q->fd, &msg, 0) < 0 ? ErrnoToStatus(errno) : Status::kOk;
-  CompleteToken(qt, r);
+  CompleteToken(qt, Done(::sendmsg(q->fd, &msg, 0) < 0 ? ErrnoToStatus(errno) : Status::kOk));
   return qt;
 }
 
@@ -409,53 +355,40 @@ Result<QToken> Catnap::Pop(QueueDesc qd) {
     CompleteToken(qt, r);
     return qt;
   }
-  const QToken qt = tokens_.Allocate(OpCode::kPop, qd);
-  sched_.Spawn(PopSocketOp(qd, qt, q->fd, q->type));
-  return qt;
-}
-
-Task<void> Catnap::PopSocketOp(QueueDesc qd, QToken qt, int fd, SocketType type) {
-  for (;;) {
+  return RunBlocking(tokens_.Allocate(OpCode::kPop, qd), [this, qd]() -> Attempt {
+    QueueState* queue = Find(qd);
+    if (queue == nullptr) {
+      return Done(Status::kCancelled);
+    }
     void* buf = alloc_.Alloc(kPopChunk);
+    if (buf == nullptr) {
+      return Done(Status::kNoMemory);  // the input stays queued in the kernel socket
+    }
     sockaddr_in peer{};
     socklen_t peer_len = sizeof(peer);
-    ssize_t n;
-    if (type == SocketType::kDatagram) {
-      n = ::recvfrom(fd, buf, kPopChunk, 0, reinterpret_cast<sockaddr*>(&peer), &peer_len);
-    } else {
-      n = ::read(fd, buf, kPopChunk);
-    }
+    const bool datagram = queue->type == SocketType::kDatagram;
+    const ssize_t n =
+        datagram ? ::recvfrom(queue->fd, buf, kPopChunk, 0, reinterpret_cast<sockaddr*>(&peer),
+                              &peer_len)
+                 : ::read(queue->fd, buf, kPopChunk);
     if (n > 0) {
       QResult r;
-      r.status = Status::kOk;
       r.sga = Sgarray::Of(buf, static_cast<uint32_t>(n));
-      if (type == SocketType::kDatagram) {
+      if (datagram) {
         r.remote = FromSockaddr(peer);
       }
-      CompleteToken(qt, r);
-      co_return;
+      return r;
     }
+    const int err = errno;
     alloc_.Free(buf);
-    if (n == 0 && type == SocketType::kStream) {
-      QResult r;
-      r.status = Status::kEndOfFile;
-      CompleteToken(qt, r);
-      co_return;
+    if (n == 0 && !datagram) {
+      return Done(Status::kEndOfFile);
     }
-    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
-      QResult r;
-      r.status = ErrnoToStatus(errno);
-      CompleteToken(qt, r);
-      co_return;
+    if (n < 0 && err != EAGAIN && err != EWOULDBLOCK) {
+      return Done(ErrnoToStatus(err));
     }
-    co_await Scheduler::Yield{};
-    if (Find(qd) == nullptr) {
-      QResult r;
-      r.status = Status::kCancelled;
-      CompleteToken(qt, r);
-      co_return;
-    }
-  }
+    return Blocked{};
+  });
 }
 
 Result<QueueDesc> Catnap::Open(std::string_view path) {

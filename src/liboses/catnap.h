@@ -54,9 +54,6 @@ class Catnap final : public LibOS {
 
   QueueState* Find(QueueDesc qd);
 
-  Task<void> AcceptOp(QueueDesc qd, QToken qt, int fd);
-  Task<void> ConnectOp(QueueDesc qd, QToken qt, int fd);
-  Task<void> PopSocketOp(QueueDesc qd, QToken qt, int fd, SocketType type);
   Task<void> PushSocketOp(QueueDesc qd, QToken qt, int fd, std::vector<Buffer> pinned,
                           size_t already_written);
 

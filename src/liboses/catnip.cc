@@ -235,42 +235,20 @@ Result<QToken> Catnip::Accept(QueueDesc qd) {
   if (q == nullptr || q->kind != QKind::kTcpListener) {
     return Status::kBadQueueDescriptor;
   }
-  const QToken qt = tokens_.Allocate(OpCode::kAccept, qd, q->tenant);
-  if (q->listener->HasPending()) {
-    // Fast path: connection already established.
-    auto conn = q->listener->Accept();
+  return RunBlocking(tokens_.Allocate(OpCode::kAccept, qd, q->tenant), [this, qd]() -> Attempt {
+    QueueState* queue = Find(qd);
+    if (queue == nullptr || queue->kind != QKind::kTcpListener) {
+      return Done(Status::kCancelled);
+    }
+    if (!queue->listener->HasPending()) {
+      return Blocked{&queue->listener->acceptable()};
+    }
+    auto conn = queue->listener->Accept();
     QResult r;
-    r.status = Status::kOk;
     r.new_qd = InstallConnQueue(conn);
     r.remote = conn->remote();
-    CompleteToken(qt, r);
-    return qt;
-  }
-  sched_.Spawn(AcceptOp(qd, qt));
-  return qt;
-}
-
-Task<void> Catnip::AcceptOp(QueueDesc qd, QToken qt) {
-  for (;;) {
-    QueueState* q = Find(qd);
-    if (q == nullptr || q->kind != QKind::kTcpListener) {
-      QResult r;
-      r.status = Status::kCancelled;
-      CompleteToken(qt, r);
-      co_return;
-    }
-    if (q->listener->HasPending()) {
-      auto conn = q->listener->Accept();
-      QResult r;
-      r.status = Status::kOk;
-      r.new_qd = InstallConnQueue(conn);
-      r.remote = conn->remote();
-      CompleteToken(qt, r);
-      co_return;
-    }
-    // Close wakes us and frees the listener: look the queue up again after every wake.
-    co_await q->listener->acceptable().Wait();
-  }
+    return r;
+  });
 }
 
 Result<QToken> Catnip::Connect(QueueDesc qd, SocketAddress remote) {
@@ -284,7 +262,6 @@ Result<QToken> Catnip::Connect(QueueDesc qd, SocketAddress remote) {
     q->udp_connected = true;
     const QToken qt = tokens_.Allocate(OpCode::kConnect, qd, q->tenant);
     QResult r;
-    r.status = Status::kOk;
     r.remote = remote;
     CompleteToken(qt, r);
     return qt;
@@ -299,21 +276,18 @@ Result<QToken> Catnip::Connect(QueueDesc qd, SocketAddress remote) {
   q->kind = QKind::kTcpConn;
   q->conn = *conn;
   q->conn->set_tenant(q->tenant);  // active opens charge the socket's tenant
-  const QToken qt = tokens_.Allocate(OpCode::kConnect, qd, q->tenant);
-  sched_.Spawn(ConnectOp(qd, qt, *conn));
-  return qt;
-}
-
-Task<void> Catnip::ConnectOp(QueueDesc qd, QToken qt, std::shared_ptr<TcpConnection> conn) {
-  while (conn->state() != TcpState::kEstablished && conn->state() != TcpState::kClosed) {
-    co_await conn->established_event().Wait();
-  }
-  QResult r;
-  r.status = conn->state() == TcpState::kEstablished ? Status::kOk : conn->error();
-  if (r.status == Status::kOk) {
-    r.remote = conn->remote();
-  }
-  CompleteToken(qt, r);
+  return RunBlocking(tokens_.Allocate(OpCode::kConnect, qd, q->tenant),
+                     [conn = q->conn]() -> Attempt {
+                       if (conn->state() == TcpState::kEstablished) {
+                         QResult r;
+                         r.remote = conn->remote();
+                         return r;
+                       }
+                       if (conn->state() == TcpState::kClosed) {
+                         return Done(conn->error());
+                       }
+                       return Blocked{&conn->established_event()};
+                     });
 }
 
 // --- Push ---
@@ -346,9 +320,7 @@ Result<QToken> Catnip::Push(QueueDesc qd, const Sgarray& sga) {
         buf.NoteOwner(qd, qt);
         status = q->conn->Push(std::move(buf));
       }
-      QResult r;
-      r.status = status;
-      CompleteToken(qt, r);
+      CompleteToken(qt, Done(status));
       return qt;
     }
     case QKind::kUdp: {
@@ -362,26 +334,15 @@ Result<QToken> Catnip::Push(QueueDesc qd, const Sgarray& sga) {
     case QKind::kMemory: {
       const QToken qt = tokens_.Allocate(OpCode::kPush, qd, q->tenant);
       // Copy into a libOS-owned buffer: the channel hands ownership to the popper.
-      Buffer buf = Buffer::TryAllocate(alloc_, sga.TotalBytes(), q->tenant);
-      QResult r;
+      Buffer buf = GatherSga(sga, q->tenant, /*copy=*/true);
       if (!buf.valid()) {
-        r.status = Status::kNoMemory;
-        if (q->tenant != kDefaultTenant) {
-          tracer_.Record(TraceEventType::kTenantMemDeny, q->tenant, sga.TotalBytes());
-        }
-        CompleteToken(qt, r);
+        CompleteToken(qt, Done(Status::kNoMemory));
         return qt;
       }
       buf.NoteOwner(qd, qt);
-      size_t off = 0;
-      for (uint32_t i = 0; i < sga.num_segs; i++) {
-        std::memcpy(buf.mutable_data() + off, sga.segs[i].buf, sga.segs[i].len);
-        off += sga.segs[i].len;
-      }
       q->mem->items.push_back(std::move(buf));
       q->mem->readable.Notify();
-      r.status = Status::kOk;
-      CompleteToken(qt, r);
+      CompleteToken(qt, Done(Status::kOk));
       return qt;
     }
     default:
@@ -401,64 +362,44 @@ Result<QToken> Catnip::PushTo(QueueDesc qd, const Sgarray& sga, SocketAddress to
     return Status::kQueueFull;
   }
   const QToken qt = tokens_.Allocate(OpCode::kPush, qd, q->tenant);
-  Status status;
-  if (sga.num_segs == 1) {
-    // Zero-copy single segment.
-    Buffer buf = Buffer::TryFromApp(alloc_, sga.segs[0].buf, sga.segs[0].len, q->tenant);
-    if (!buf.valid()) {
-      status = Status::kNoMemory;
-      if (q->tenant != kDefaultTenant) {
-        tracer_.Record(TraceEventType::kTenantMemDeny, q->tenant, sga.segs[0].len);
-      }
-    } else {
-      buf.NoteOwner(qd, qt);
-      if (buf.size() >= PoolAllocator::kZeroCopyThreshold) {
-        buf.Rkey();
-      }
-      status = udp_.SendTo(*q->udp, to, buf);
+  Status status = Status::kNoMemory;
+  Buffer buf = GatherSga(sga, q->tenant);
+  if (buf.valid()) {
+    buf.NoteOwner(qd, qt);
+    if (buf.size() >= PoolAllocator::kZeroCopyThreshold) {
+      buf.Rkey();
     }
-  } else {
-    Buffer buf = Buffer::TryAllocate(alloc_, sga.TotalBytes(), q->tenant);
-    if (!buf.valid()) {
-      status = Status::kNoMemory;
-      if (q->tenant != kDefaultTenant) {
-        tracer_.Record(TraceEventType::kTenantMemDeny, q->tenant, sga.TotalBytes());
-      }
-    } else {
-      buf.NoteOwner(qd, qt);
-      size_t off = 0;
-      for (uint32_t i = 0; i < sga.num_segs; i++) {
-        std::memcpy(buf.mutable_data() + off, sga.segs[i].buf, sga.segs[i].len);
-        off += sga.segs[i].len;
-      }
-      if (buf.size() >= PoolAllocator::kZeroCopyThreshold) {
-        buf.Rkey();
-      }
-      status = udp_.SendTo(*q->udp, to, buf);
-    }
+    status = udp_.SendTo(*q->udp, to, buf);
   }
-  QResult r;
-  r.status = status;
-  CompleteToken(qt, r);
+  CompleteToken(qt, Done(status));
   return qt;
 }
 
 // --- Pop ---
 
-void Catnip::CompleteTcpPop(QToken qt, QueueDesc qd, TcpConnection& conn) {
-  QResult r;
-  r.status = Status::kOk;
-  r.remote = conn.remote();
-  // Drain up to a full scatter-gather array per pop: cuts per-segment qtoken/coroutine costs
-  // for bulk streams while staying one op per message for request/response traffic.
-  while (r.sga.num_segs < kSgaMaxSegments && conn.HasReadyData()) {
-    auto data = conn.PopData();
-    DEMI_CHECK(data.has_value());
-    const uint32_t len = static_cast<uint32_t>(data->size());
-    r.sga.segs[r.sga.num_segs++] = {data->ReleaseToApp(), len};
+LibOS::Attempt Catnip::PopTcp(TcpConnection& conn) {
+  if (conn.HasReadyData()) {
+    QResult r;
+    r.remote = conn.remote();
+    // Drain up to a full scatter-gather array per pop: cuts per-segment qtoken/coroutine costs
+    // for bulk streams while staying one op per message for request/response traffic.
+    while (r.sga.num_segs < kSgaMaxSegments && conn.HasReadyData()) {
+      auto data = conn.PopData();
+      DEMI_CHECK(data.has_value());
+      const uint32_t len = static_cast<uint32_t>(data->size());
+      r.sga.segs[r.sga.num_segs++] = {data->ReleaseToApp(), len};
+    }
+    return r;
   }
-  DEMI_CHECK(r.sga.num_segs > 0);
-  CompleteToken(qt, r);
+  if (conn.EndOfStream()) {
+    QResult r = Done(Status::kEndOfFile);
+    r.remote = conn.remote();
+    return r;
+  }
+  if (conn.state() == TcpState::kClosed) {
+    return Done(conn.error() == Status::kOk ? Status::kEndOfFile : conn.error());
+  }
+  return Blocked{&conn.readable()};
 }
 
 Result<QToken> Catnip::Pop(QueueDesc qd) {
@@ -470,104 +411,42 @@ Result<QToken> Catnip::Pop(QueueDesc qd) {
     return Status::kQueueFull;  // over the tenant's inflight watermark: shed at submission
   }
   switch (q->kind) {
-    case QKind::kTcpConn: {
-      const QToken qt = tokens_.Allocate(OpCode::kPop, qd, q->tenant);
-      if (q->conn->HasReadyData()) {
-        CompleteTcpPop(qt, qd, *q->conn);  // fast path: data already waiting
-      } else {
-        sched_.Spawn(PopTcpOp(qd, qt, q->conn));
-      }
-      return qt;
-    }
-    case QKind::kUdp: {
-      const QToken qt = tokens_.Allocate(OpCode::kPop, qd, q->tenant);
-      if (q->udp->HasData()) {
-        auto d = q->udp->PopDatagram();
+    case QKind::kTcpConn:
+      return RunBlocking(tokens_.Allocate(OpCode::kPop, qd, q->tenant),
+                         [this, conn = q->conn] { return PopTcp(*conn); });
+    case QKind::kUdp:
+      return RunBlocking(tokens_.Allocate(OpCode::kPop, qd, q->tenant), [this, qd]() -> Attempt {
+        QueueState* queue = Find(qd);
+        if (queue == nullptr || queue->kind != QKind::kUdp) {
+          return Done(Status::kCancelled);
+        }
+        if (!queue->udp->HasData()) {
+          return Blocked{&queue->udp->readable()};
+        }
+        auto d = queue->udp->PopDatagram();
         QResult r;
-        r.status = Status::kOk;
         r.remote = d->src;
         r.sga = BufferToAppSga(std::move(d->payload));
-        CompleteToken(qt, r);
-      } else {
-        sched_.Spawn(PopUdpOp(qd, qt));
-      }
-      return qt;
-    }
+        return r;
+      });
     case QKind::kFile:
       return storage_->Pop(qd, q->tenant);
-    case QKind::kMemory: {
-      const QToken qt = tokens_.Allocate(OpCode::kPop, qd, q->tenant);
-      sched_.Spawn(PopMemOp(qd, qt, q->mem));
-      return qt;
-    }
+    case QKind::kMemory:
+      return RunBlocking(tokens_.Allocate(OpCode::kPop, qd, q->tenant),
+                         [mem = q->mem]() -> Attempt {
+                           if (!mem->items.empty()) {
+                             QResult r;
+                             r.sga = BufferToAppSga(std::move(mem->items.front()));
+                             mem->items.pop_front();
+                             return r;
+                           }
+                           if (mem->closed) {
+                             return Done(Status::kEndOfFile);
+                           }
+                           return Blocked{&mem->readable};
+                         });
     default:
       return Status::kNotConnected;
-  }
-}
-
-Task<void> Catnip::PopTcpOp(QueueDesc qd, QToken qt, std::shared_ptr<TcpConnection> conn) {
-  for (;;) {
-    if (conn->HasReadyData()) {
-      CompleteTcpPop(qt, qd, *conn);
-      co_return;
-    }
-    if (conn->EndOfStream()) {
-      QResult r;
-      r.status = Status::kEndOfFile;
-      r.remote = conn->remote();
-      CompleteToken(qt, r);
-      co_return;
-    }
-    if (conn->state() == TcpState::kClosed) {
-      QResult r;
-      r.status = conn->error() == Status::kOk ? Status::kEndOfFile : conn->error();
-      CompleteToken(qt, r);
-      co_return;
-    }
-    co_await conn->readable().Wait();
-  }
-}
-
-Task<void> Catnip::PopUdpOp(QueueDesc qd, QToken qt) {
-  for (;;) {
-    QueueState* q = Find(qd);
-    if (q == nullptr || q->kind != QKind::kUdp) {
-      QResult r;
-      r.status = Status::kCancelled;
-      CompleteToken(qt, r);
-      co_return;
-    }
-    if (q->udp->HasData()) {
-      auto d = q->udp->PopDatagram();
-      QResult r;
-      r.status = Status::kOk;
-      r.remote = d->src;
-      r.sga = BufferToAppSga(std::move(d->payload));
-      CompleteToken(qt, r);
-      co_return;
-    }
-    co_await q->udp->readable().Wait();  // as AcceptOp: re-found after every wake
-  }
-}
-
-Task<void> Catnip::PopMemOp(QueueDesc qd, QToken qt, std::shared_ptr<MemChannel> mem) {
-  for (;;) {
-    if (!mem->items.empty()) {
-      Buffer buf = std::move(mem->items.front());
-      mem->items.pop_front();
-      QResult r;
-      r.status = Status::kOk;
-      r.sga = BufferToAppSga(std::move(buf));
-      CompleteToken(qt, r);
-      co_return;
-    }
-    if (mem->closed) {
-      QResult r;
-      r.status = Status::kEndOfFile;
-      CompleteToken(qt, r);
-      co_return;
-    }
-    co_await mem->readable.Wait();
   }
 }
 
@@ -779,10 +658,10 @@ Result<QueueDesc> Catnip::MemoryQueue() {
 
 // --- Close ---
 
-// Tears the queue down at once. Ops parked on its events are woken first: accept and UDP pops
-// look their queue up again and complete with kCancelled, TCP and memory pops hold the object
-// they wait on, and the engine cancels in-flight file pops. A woken op never touches an Event
-// again, so freeing the objects that own them right after the Notify is safe.
+// Tears the queue down at once. Ops parked on its events are woken first: accept and UDP pop
+// attempts look their queue up again and complete with kCancelled, TCP and memory pops hold the
+// object they wait on, and the engine cancels in-flight file pops. RunBlocking never touches an
+// Event after its wake, so freeing the objects that own them right after the Notify is safe.
 Status Catnip::Close(QueueDesc qd) {
   auto it = queues_.find(qd);
   if (it == queues_.end()) {

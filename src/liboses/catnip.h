@@ -2,8 +2,9 @@
 //
 // Implements PDPIX over the full userspace UDP/TCP stacks. A single fast-path coroutine polls
 // the NIC (and, when a disk is attached, the storage completion queue — the Catnip×Cattree
-// round-robin split of §5.5); pop/accept/connect allocate blocked coroutines only when the
-// data isn't already available, and push transmits inline run-to-completion.
+// round-robin split of §5.5); pop/accept/connect go through LibOS::RunBlocking, which spawns a
+// fiber only when the data isn't already available, and push transmits inline
+// run-to-completion.
 //
 // Constructing with a SimBlockDevice yields the integrated Catnip×Cattree libOS: network
 // sockets and storage queues share one scheduler and one DMA heap, enabling the paper's
@@ -183,22 +184,17 @@ class Catnip final : public LibOS {
   void OnTenantRegistered(TenantId tenant, const TenantConfig& config) override;
   QueueDesc InstallConnQueue(std::shared_ptr<TcpConnection> conn);
 
-  // Op coroutines.
+  // One attempt at a TCP pop: ready data (up to a full sgarray), end of stream, or the
+  // connection's readable event.
+  Attempt PopTcp(TcpConnection& conn);
+
   Task<void> FastPathFiber();
-  Task<void> AcceptOp(QueueDesc qd, QToken qt);
-  Task<void> ConnectOp(QueueDesc qd, QToken qt, std::shared_ptr<TcpConnection> conn);
-  Task<void> PopTcpOp(QueueDesc qd, QToken qt, std::shared_ptr<TcpConnection> conn);
-  Task<void> PopUdpOp(QueueDesc qd, QToken qt);
-  Task<void> PopMemOp(QueueDesc qd, QToken qt, std::shared_ptr<MemChannel> mem);
   Task<void> SpliceNetToDiskOp(QueueDesc src_qd, QToken qt,
                                std::shared_ptr<TcpConnection> conn,
                                std::shared_ptr<SpliceState> st);
   Task<void> SpliceAppendFiber(std::shared_ptr<SpliceState> st);
   Task<void> SpliceDiskToNetOp(QueueDesc src_qd, QToken qt,
                                std::shared_ptr<TcpConnection> conn, uint64_t cursor);
-
-  // Completes a TCP pop from ready data (fast path and coroutine tail share this).
-  void CompleteTcpPop(QToken qt, QueueDesc qd, TcpConnection& conn);
 
   std::unique_ptr<SimNic> owned_nic_;  // null when Config::shared_nic is used
   SimNic& nic_;

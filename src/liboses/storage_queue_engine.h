@@ -38,7 +38,8 @@ class StorageQueueEngine {
   // Opens file queue `qd` (allocated by the libOS) with its read cursor at the log head.
   void Open(QueueDesc qd) { files_[qd].cursor = log_.head(); }
 
-  // Drops the queue at once: pops still in flight on it complete with kCancelled.
+  // Drops the queue at once: pops still in flight on it complete with kCancelled (a pop the app
+  // already cancelled has released its token and is skipped).
   [[nodiscard]] Status Close(QueueDesc qd) {
     auto it = files_.find(qd);
     if (it == files_.end()) {
@@ -47,7 +48,9 @@ class StorageQueueEngine {
     QResult qr;
     qr.status = Status::kCancelled;
     for (QToken qt : it->second.pops) {
-      tokens_.Complete(qt, qr);
+      if (tokens_.IsValid(qt)) {
+        tokens_.Complete(qt, qr);
+      }
     }
     files_.erase(it);
     return Status::kOk;
@@ -127,11 +130,20 @@ class StorageQueueEngine {
 
   // Serves `qd`'s posted pops one read at a time and exits when none is left. It looks the
   // queue up again after every read: a Close while the read was in flight has dropped the
-  // queue and cancelled its pops, and the record read is discarded.
+  // queue and cancelled its pops, and the record read is discarded. A pop the app cancelled
+  // (LibOS::Cancel) is skipped at the front; if its read was in flight, the record is discarded
+  // and the cursor stays, so the next pop reads that record.
   Task<void> ReadLoop(QueueDesc qd) {
     for (;;) {
       auto it = files_.find(qd);
-      if (it == files_.end() || it->second.pops.empty()) {
+      if (it == files_.end()) {
+        co_return;
+      }
+      std::deque<QToken>& pops = it->second.pops;
+      while (!pops.empty() && !tokens_.IsValid(pops.front())) {
+        pops.pop_front();
+      }
+      if (pops.empty()) {
         co_return;
       }
       auto result = co_await log_.Read(it->second.cursor, alloc_);
@@ -142,6 +154,9 @@ class StorageQueueEngine {
       FileQueue& fq = it->second;
       const QToken qt = fq.pops.front();
       fq.pops.pop_front();
+      if (!tokens_.IsValid(qt)) {
+        continue;
+      }
       QResult qr;
       qr.status = result.error();
       if (result.ok()) {

@@ -352,6 +352,7 @@ Task<Result<LogDevice::Record>> LogDevice::Read(uint64_t cursor, PoolAllocator& 
     if (cursor >= tail_) {
       co_return Status::kEndOfFile;
     }
+    const uint64_t durable = tail_;  // every byte below it is on the device before we read
     // Read the block(s) holding the header (it can straddle a block boundary) into pool
     // memory; a payload that ends inside them is returned straight from this one read.
     const uint64_t hdr_end = std::min<uint64_t>(cursor + kHeaderSize, tail_);
@@ -399,7 +400,19 @@ Task<Result<LogDevice::Record>> LogDevice::Read(uint64_t cursor, PoolAllocator& 
     if (Crc32(payload.data(), payload.size()) != e.payload_crc) {
       co_return Status::kProtocolError;
     }
-    co_return Record{std::move(payload), cursor + e.size};
+    // A block-aligned (AppendSg) record ends in a pad marker inside the last block just read:
+    // skip it here instead of reading that block again on the next call.
+    uint64_t next = cursor + e.size;
+    const uint64_t held_end = std::min(blocks_at + blocks.size(), durable);
+    if (next + kPadHeaderSize <= held_end) {
+      const Entry pad = ParseEntry(
+          {blocks.data() + (next - blocks_at), static_cast<size_t>(held_end - next)}, next,
+          durable);
+      if (pad.kind == Entry::Kind::kPad) {
+        next += pad.size;
+      }
+    }
+    co_return Record{std::move(payload), next};
   }
 }
 

@@ -88,7 +88,8 @@ class LogDevice {
 
   // Reads the record at `cursor` (skipping pad markers) into pool memory from `alloc`. The
   // block(s) holding the header are read first; a payload that ends inside them costs no
-  // second device read. Fails with kEndOfFile at the tail, kProtocolError on a corrupt header
+  // second device read. A pad marker right after the record inside the blocks read is skipped
+  // in the returned cursor. Fails with kEndOfFile at the tail, kProtocolError on a corrupt header
   // or payload CRC, kInvalidArgument below the GC head, and kNoMemory when the heap cannot
   // cover a read buffer.
   Task<Result<Record>> Read(uint64_t cursor, PoolAllocator& alloc);

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/common/clock.h"
+#include "src/faults/fault_injector.h"
 #include "src/liboses/catmint.h"
 #include "tests/sim_world.h"
 
@@ -211,6 +212,86 @@ TEST_F(CatmintTest, ConnectToUnknownAddressFailsFast) {
   // No AddPeer mapping for this IP: rdma_cm-style resolution fails synchronously.
   EXPECT_EQ(client_->Connect(*cqd, {Ipv4Addr::FromOctets(10, 99, 99, 99), 1}).error(),
             Status::kNotFound);
+}
+
+// Cancel retires a parked pop: the next message goes to the next pop on the connection.
+TEST_F(CatmintTest, CancelledPopLeavesTheMessageToTheNextPop) {
+  auto [cqd, sqd] = Establish(1200);
+  const size_t fibers = server_->scheduler().NumLiveFibers();
+  auto pop = server_->Pop(sqd);
+  ASSERT_TRUE(pop.ok());
+  server_->PollOnce();  // nothing received: the pop parks on the connection
+  auto cancelled = server_->Cancel(*pop);
+  ASSERT_TRUE(cancelled.ok());
+  EXPECT_EQ(cancelled->status, Status::kCancelled);
+  server_->PollOnce();
+  EXPECT_EQ(server_->scheduler().NumLiveFibers(), fibers);
+
+  auto next = server_->Pop(sqd);
+  ASSERT_TRUE(next.ok());
+  auto push = client_->Push(cqd, MakeSga(*client_, "after cancel"));
+  ASSERT_TRUE(push.ok());
+  EXPECT_EQ(WaitBoth(*client_, *push).status, Status::kOk);
+  QResult r = WaitBoth(*server_, *next);
+  ASSERT_EQ(r.status, Status::kOk);
+  EXPECT_EQ(TakeString(*server_, r), "after cancel");
+}
+
+TEST_F(CatmintTest, CancelledAcceptLeavesTheConnectionToTheNextAccept) {
+  auto lqd = server_->Socket(SocketType::kStream);
+  ASSERT_TRUE(lqd.ok());
+  ASSERT_EQ(server_->Bind(*lqd, {server_->local_ip(), 1201}), Status::kOk);
+  ASSERT_EQ(server_->Listen(*lqd, 4), Status::kOk);
+  auto accept = server_->Accept(*lqd);
+  ASSERT_TRUE(accept.ok());
+  auto cancelled = server_->Cancel(*accept);
+  ASSERT_TRUE(cancelled.ok());
+  EXPECT_EQ(cancelled->status, Status::kCancelled);
+
+  auto next = server_->Accept(*lqd);
+  ASSERT_TRUE(next.ok());
+  auto cqd = client_->Socket(SocketType::kStream);
+  auto connect = client_->Connect(*cqd, {server_->local_ip(), 1201});
+  ASSERT_TRUE(connect.ok());
+  EXPECT_EQ(WaitBoth(*client_, *connect).status, Status::kOk);
+  QResult r = WaitBoth(*server_, *next);
+  ASSERT_EQ(r.status, Status::kOk);
+  EXPECT_NE(r.new_qd, kInvalidQd);
+}
+
+// A push under heap exhaustion completes with kNoMemory instead of aborting, and the
+// connection carries messages again once memory is back.
+TEST_F(CatmintTest, PushUnderHeapExhaustionCompletesWithNoMemory) {
+  auto [cqd, sqd] = Establish(1202);
+  Sgarray small = MakeSga(*client_, "no heap");
+  FaultPlan plan;
+  plan.alloc_fail = 1.0;
+  FaultInjector faults(plan);
+  client_->allocator().SetFaultInjector(&faults);
+  auto push = client_->Push(cqd, small);
+  faults.Disarm();
+  client_->DmaFree(small.segs[0].buf);
+  ASSERT_TRUE(push.ok());
+  ASSERT_TRUE(client_->IsDone(*push));
+  EXPECT_EQ(client_->TryTake(*push)->status, Status::kNoMemory);
+
+  auto again = client_->Push(cqd, MakeSga(*client_, "heap back"));
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(WaitBoth(*client_, *again).status, Status::kOk);
+  auto pop = server_->Pop(sqd);
+  ASSERT_TRUE(pop.ok());
+  QResult r = WaitBoth(*server_, *pop);
+  ASSERT_EQ(r.status, Status::kOk);
+  auto echo = server_->Push(sqd, r.sga);
+  ASSERT_TRUE(echo.ok());
+  server_->FreeSga(r.sga);
+  EXPECT_EQ(WaitBoth(*server_, *echo).status, Status::kOk);
+  auto cpop = client_->Pop(cqd);
+  ASSERT_TRUE(cpop.ok());
+  QResult er = WaitBoth(*client_, *cpop);
+  ASSERT_EQ(er.status, Status::kOk);
+  EXPECT_EQ(TakeString(*client_, er), "heap back");
+  client_->allocator().SetFaultInjector(nullptr);
 }
 
 // A parked accept completes with kCancelled and the descriptor is refused as soon as Close

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/common/clock.h"
+#include "src/faults/fault_injector.h"
 #include "src/liboses/catmint.h"
 #include "src/liboses/catnap.h"
 #include "src/liboses/catnip.h"
@@ -437,8 +438,8 @@ TEST_F(WaitLoopTest, WaitAnyHarvestRefusesAStaleToken) {
 // --- Abandoned pops (one thread, virtual time) ---
 //
 // A posted pop takes the next datagram whether or not anyone still waits on its token, like a
-// posted RDMA receive. An app that stops waiting on a pop must keep the token and wait on it
-// again (docs/API.md, Wait); these tests pin today's behaviour.
+// posted RDMA receive. An app that stops waiting on a pop waits on the token again or cancels
+// it (docs/API.md, Cancel); these tests pin what happens without Cancel.
 
 class AbandonedPopTest : public ::testing::Test {
  protected:
@@ -510,6 +511,157 @@ TEST_F(AbandonedPopTest, TimedOutPopCompletesWithTheNextDatagram) {
   ASSERT_TRUE(pop.ok());
   EXPECT_EQ(server_.Wait(*pop, kMillisecond).error(), Status::kTimedOut);
   ExpectAbandonedPopTakesTheNextDatagram(*pop);
+}
+
+// --- Cancel (docs/API.md, Cancel) ---
+//
+// Cancel retires a pending pop or accept: it completes with kCancelled, its token is consumed,
+// its fiber is gone by the next poll, and the next input goes to the next op posted on the
+// queue — unlike the abandoned pops above.
+
+class CatnipCancelTest : public AbandonedPopTest {
+ protected:
+  // Cancels `pending` on `os` once it has parked, and checks that its fiber exits by the next
+  // poll, leaving `fibers_before` live.
+  void CancelParked(LibOS& os, QToken pending, size_t fibers_before) {
+    os.PollOnce();  // the op finds nothing ready and parks
+    ASSERT_FALSE(os.IsDone(pending));
+    auto r = os.Cancel(pending);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r->status, Status::kCancelled);
+    EXPECT_EQ(r->sga.num_segs, 0u);
+    os.PollOnce();
+    EXPECT_EQ(os.scheduler().NumLiveFibers(), fibers_before);
+    EXPECT_EQ(os.Cancel(pending).error(), Status::kBadQToken) << "Cancel consumes the token";
+  }
+
+  QResult TakeWhenDone(LibOS& os, QToken qt) {
+    EXPECT_TRUE(world_.RunUntil([&] { return os.IsDone(qt); }));
+    auto r = os.TryTake(qt);
+    EXPECT_TRUE(r.ok());
+    return r.ok() ? *r : QResult{};
+  }
+
+  // A listening TCP socket on the server at kTcpPort.
+  QueueDesc Listen() {
+    auto lqd = server_.Socket(SocketType::kStream);
+    EXPECT_TRUE(lqd.ok());
+    EXPECT_EQ(server_.Bind(*lqd, {kServerIp, kTcpPort}), Status::kOk);
+    EXPECT_EQ(server_.Listen(*lqd, 8), Status::kOk);
+    return *lqd;
+  }
+
+  // Connects a client TCP socket to the listener; returns its connect token.
+  QToken Connect(QueueDesc* cqd) {
+    auto qd = client_.Socket(SocketType::kStream);
+    EXPECT_TRUE(qd.ok());
+    *cqd = *qd;
+    auto connect = client_.Connect(*qd, {kServerIp, kTcpPort});
+    EXPECT_TRUE(connect.ok());
+    return *connect;
+  }
+
+  static constexpr uint16_t kTcpPort = 6201;
+};
+
+TEST_F(CatnipCancelTest, CancelledUdpPopLeavesTheDatagramToTheNextPop) {
+  const size_t fibers = server_.scheduler().NumLiveFibers();
+  auto pop = server_.Pop(sqd_);
+  ASSERT_TRUE(pop.ok());
+  CancelParked(server_, *pop, fibers);
+  auto next = server_.Pop(sqd_);
+  ASSERT_TRUE(next.ok());
+  SendDatagram("first");
+  QResult r = TakeWhenDone(server_, *next);
+  ASSERT_EQ(r.status, Status::kOk);
+  EXPECT_EQ(SgaToString(server_, r.sga), "first");
+}
+
+TEST_F(CatnipCancelTest, CancelledTcpPopLeavesTheBytesToTheNextPop) {
+  const QueueDesc lqd = Listen();
+  auto accept = server_.Accept(lqd);
+  ASSERT_TRUE(accept.ok());
+  QueueDesc cqd = kInvalidQd;
+  const QToken connect = Connect(&cqd);
+  ASSERT_EQ(TakeWhenDone(client_, connect).status, Status::kOk);
+  QResult acc = TakeWhenDone(server_, *accept);
+  ASSERT_EQ(acc.status, Status::kOk);
+
+  const size_t fibers = server_.scheduler().NumLiveFibers();
+  auto pop = server_.Pop(acc.new_qd);
+  ASSERT_TRUE(pop.ok());
+  CancelParked(server_, *pop, fibers);
+  auto next = server_.Pop(acc.new_qd);
+  ASSERT_TRUE(next.ok());
+  auto push = client_.Push(cqd, MakeSga(client_, "stream bytes"));
+  ASSERT_TRUE(push.ok());
+  EXPECT_EQ(TakeWhenDone(client_, *push).status, Status::kOk);
+  QResult r = TakeWhenDone(server_, *next);
+  ASSERT_EQ(r.status, Status::kOk);
+  EXPECT_EQ(SgaToString(server_, r.sga), "stream bytes");
+}
+
+TEST_F(CatnipCancelTest, CancelledMemoryPopLeavesTheItemToTheNextPop) {
+  auto mq = server_.MemoryQueue();
+  ASSERT_TRUE(mq.ok());
+  const size_t fibers = server_.scheduler().NumLiveFibers();
+  auto pop = server_.Pop(*mq);
+  ASSERT_TRUE(pop.ok());
+  CancelParked(server_, *pop, fibers);
+  auto next = server_.Pop(*mq);
+  ASSERT_TRUE(next.ok());
+  auto push = server_.Push(*mq, MakeSga(server_, "item"));
+  ASSERT_TRUE(push.ok());
+  EXPECT_EQ(TakeWhenDone(server_, *push).status, Status::kOk);
+  QResult r = TakeWhenDone(server_, *next);
+  ASSERT_EQ(r.status, Status::kOk);
+  EXPECT_EQ(SgaToString(server_, r.sga), "item");
+}
+
+TEST_F(CatnipCancelTest, CancelledAcceptLeavesTheConnectionToTheNextAccept) {
+  const QueueDesc lqd = Listen();
+  const size_t fibers = server_.scheduler().NumLiveFibers();
+  auto accept = server_.Accept(lqd);
+  ASSERT_TRUE(accept.ok());
+  CancelParked(server_, *accept, fibers);
+  auto next = server_.Accept(lqd);
+  ASSERT_TRUE(next.ok());
+  QueueDesc cqd = kInvalidQd;
+  const QToken connect = Connect(&cqd);
+  ASSERT_EQ(TakeWhenDone(client_, connect).status, Status::kOk);
+  QResult r = TakeWhenDone(server_, *next);
+  ASSERT_EQ(r.status, Status::kOk);
+  EXPECT_NE(r.new_qd, kInvalidQd);
+  EXPECT_EQ(r.remote.ip, client_.local_ip());
+}
+
+TEST_F(CatnipCancelTest, CancelOfACompletedPopHandsOverItsData) {
+  auto pop = server_.Pop(sqd_);
+  ASSERT_TRUE(pop.ok());
+  SendDatagram("landed");
+  ASSERT_TRUE(world_.RunUntil([&] { return server_.IsDone(*pop); }));
+  auto r = server_.Cancel(*pop);
+  ASSERT_TRUE(r.ok());
+  ASSERT_EQ(r->status, Status::kOk);
+  EXPECT_EQ(r->opcode, OpCode::kPop);
+  EXPECT_EQ(SgaToString(server_, r->sga), "landed");
+  EXPECT_EQ(server_.Cancel(*pop).error(), Status::kBadQToken);
+}
+
+TEST_F(CatnipCancelTest, CancelOfAPushOrConnectIsNotSupportedAndLeavesItWaitable) {
+  const QueueDesc lqd = Listen();
+  QueueDesc cqd = kInvalidQd;
+  const QToken connect = Connect(&cqd);
+  EXPECT_EQ(client_.Cancel(connect).error(), Status::kNotSupported);
+  auto accept = server_.Accept(lqd);
+  ASSERT_TRUE(accept.ok());
+  EXPECT_EQ(TakeWhenDone(client_, connect).status, Status::kOk);
+  ASSERT_EQ(TakeWhenDone(server_, *accept).status, Status::kOk);
+
+  auto push = client_.Push(cqd, MakeSga(client_, "kept"));
+  ASSERT_TRUE(push.ok());
+  EXPECT_EQ(client_.Cancel(*push).error(), Status::kNotSupported);
+  EXPECT_EQ(TakeWhenDone(client_, *push).status, Status::kOk);
 }
 
 // --- Catnip×Cattree (integrated network + storage) ---
@@ -833,6 +985,55 @@ TEST_F(CatnapPairTest, UdpEchoOverLoopback) {
   EXPECT_EQ(SgaToString(client_, er.sga), "udp ping");
 }
 
+TEST_F(CatnapPairTest, CancelledUdpPopLeavesTheDatagramToTheNextPop) {
+  const uint16_t port = NextPort();
+  auto sqd = server_.Socket(SocketType::kDatagram);
+  ASSERT_EQ(server_.Bind(*sqd, Loopback(port)), Status::kOk);
+  const size_t fibers = server_.scheduler().NumLiveFibers();
+  auto pop = server_.Pop(*sqd);
+  ASSERT_TRUE(pop.ok());
+  auto cancelled = server_.Cancel(*pop);
+  ASSERT_TRUE(cancelled.ok());
+  EXPECT_EQ(cancelled->status, Status::kCancelled);
+  server_.PollOnce();
+  EXPECT_EQ(server_.scheduler().NumLiveFibers(), fibers);
+
+  auto next = server_.Pop(*sqd);
+  ASSERT_TRUE(next.ok());
+  auto cqd = client_.Socket(SocketType::kDatagram);
+  ASSERT_EQ(client_.Bind(*cqd, Loopback(0)), Status::kOk);
+  auto push = client_.PushTo(*cqd, MakeSga(client_, "after cancel"), Loopback(port));
+  EXPECT_EQ(WaitStepped(client_, *push, World()).status, Status::kOk);
+  QResult r = WaitStepped(server_, *next, World());
+  ASSERT_EQ(r.status, Status::kOk);
+  EXPECT_EQ(SgaToString(server_, r.sga), "after cancel");
+}
+
+// A pop under heap exhaustion completes with kNoMemory and leaves the datagram queued for the
+// next pop.
+TEST_F(CatnapPairTest, UdpPopUnderHeapExhaustionKeepsTheDatagram) {
+  const uint16_t port = NextPort();
+  auto sqd = server_.Socket(SocketType::kDatagram);
+  ASSERT_EQ(server_.Bind(*sqd, Loopback(port)), Status::kOk);
+  auto cqd = client_.Socket(SocketType::kDatagram);
+  ASSERT_EQ(client_.Bind(*cqd, Loopback(0)), Status::kOk);
+  auto push = client_.PushTo(*cqd, MakeSga(client_, "kept"), Loopback(port));
+  EXPECT_EQ(WaitStepped(client_, *push, World()).status, Status::kOk);
+
+  FaultPlan plan;
+  plan.alloc_fail = 1.0;
+  FaultInjector faults(plan);
+  server_.allocator().SetFaultInjector(&faults);
+  auto pop = server_.Pop(*sqd);
+  ASSERT_TRUE(pop.ok());
+  EXPECT_EQ(WaitStepped(server_, *pop, World()).status, Status::kNoMemory);
+  server_.allocator().SetFaultInjector(nullptr);
+  auto next = server_.Pop(*sqd);
+  QResult r = WaitStepped(server_, *next, World());
+  ASSERT_EQ(r.status, Status::kOk);
+  EXPECT_EQ(SgaToString(server_, r.sga), "kept");
+}
+
 TEST_F(CatnapPairTest, ConnectionRefused) {
   auto cqd = client_.Socket(SocketType::kStream);
   auto conn = client_.Connect(*cqd, Loopback(1));  // nothing listens on port 1
@@ -1000,6 +1201,30 @@ TEST_P(FileQueueCloseTest, OutstandingPopsReadSuccessiveRecordsInOrder) {
   ASSERT_EQ(r2->status, Status::kOk);
   EXPECT_EQ(SgaToString(*os_, r1->sga), "rec-one");
   EXPECT_EQ(SgaToString(*os_, r2->sga), "rec-two");
+  EXPECT_EQ(os_->Close(qd), Status::kOk);
+}
+
+TEST_P(FileQueueCloseTest, CancelledPopWhoseReadIsInFlightLeavesTheRecordToTheNextPop) {
+  const QueueDesc qd = OpenWithTwoRecords();
+  const uint64_t live_objects = os_->allocator().GetStats().live_objects;
+  const uint64_t reads = disk_.GetStats().reads;
+  auto pop = os_->Pop(qd);
+  ASSERT_TRUE(pop.ok());
+  os_->PollOnce();  // the pop's log read is now on the device
+  ASSERT_GT(disk_.GetStats().reads, reads);
+  auto cancelled = os_->Cancel(*pop);
+  ASSERT_TRUE(cancelled.ok());
+  EXPECT_EQ(cancelled->status, Status::kCancelled);
+  EXPECT_EQ(cancelled->sga.num_segs, 0u);
+
+  auto next = os_->Pop(qd);
+  ASSERT_TRUE(next.ok());
+  ASSERT_TRUE(world_.RunUntil([&] { return os_->IsDone(*next); }));
+  auto r = os_->TryTake(*next);
+  ASSERT_TRUE(r.ok());
+  ASSERT_EQ(r->status, Status::kOk);
+  EXPECT_EQ(SgaToString(*os_, r->sga), "rec-one");
+  EXPECT_EQ(os_->allocator().GetStats().live_objects, live_objects);
   EXPECT_EQ(os_->Close(qd), Status::kOk);
 }
 

@@ -120,6 +120,33 @@ TEST_F(PdpixCTest, ErrorPaths) {
   BindPdpixThread(&client_);
 }
 
+TEST_F(PdpixCTest, CancelRetiresAPendingPop) {
+  demi_qd_t q = demi_queue();
+  ASSERT_GE(q, 0);
+  demi_qtoken_t pop = demi_pop(q);
+  ASSERT_NE(pop, 0u);
+  demi_qresult_t qr;
+  ASSERT_EQ(demi_cancel(&qr, pop), 0);
+  EXPECT_EQ(qr.error, -ECANCELED);
+  EXPECT_EQ(qr.opcode, DEMI_OPC_POP);
+  EXPECT_EQ(qr.sga.numsegs, 0u);
+  EXPECT_EQ(demi_cancel(&qr, pop), -EINVAL);  // consumed
+
+  demi_qtoken_t next = demi_pop(q);
+  ASSERT_NE(next, 0u);
+  demi_sgarray_t msg = demi_sga_alloc(5);
+  std::memcpy(msg.segs[0].buf, "mine", 5);
+  demi_qtoken_t push = demi_push(q, &msg);
+  demi_sga_free(&msg);
+  ASSERT_NE(push, 0u);
+  EXPECT_EQ(demi_cancel(&qr, push), -EOPNOTSUPP);  // not a pop: still live
+  ASSERT_EQ(demi_wait(&qr, push, kSecond), 0);
+  ASSERT_EQ(demi_wait(&qr, next, kSecond), 0);
+  EXPECT_EQ(qr.error, 0);
+  EXPECT_EQ(std::memcmp(qr.sga.segs[0].buf, "mine", 5), 0);
+  demi_sga_free(&qr.sga);
+}
+
 TEST_F(PdpixCTest, WaitAllCollectsEverything) {
   demi_qd_t q = demi_queue();
   ASSERT_GE(q, 0);

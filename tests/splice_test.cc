@@ -190,6 +190,34 @@ TEST_F(SpliceLogTest, ReadZcReturnsViewOverOneAllocation) {
 // The satellite-b regression: a torn write forges a plausible [magic][len] prefix on the media
 // while the op errors terminally. Pre-CRC recovery trusted magic+len and resurrected the torn
 // record after restart; epoch+CRC validation must refuse it.
+// A block-aligned record ends in a pad marker inside the last block the reader already holds:
+// reading it back costs the header block and the payload span, two device reads per record.
+TEST_F(SpliceLogTest, AlignedRecordsCostTwoDeviceReadsEach) {
+  constexpr size_t kRecords = 4;
+  std::vector<std::vector<std::string>> records;
+  for (size_t r = 0; r < kRecords; r++) {
+    std::vector<std::string> parts;
+    for (size_t p = 0; p < 3; p++) {
+      std::string part(16 * 1024, '\0');
+      for (size_t i = 0; i < part.size(); i++) {
+        part[i] = static_cast<char>('a' + (r * 7 + p * 3 + i) % 26);
+      }
+      parts.push_back(std::move(part));
+    }
+    ASSERT_EQ(AppendSgSync(parts), Status::kOk);
+    records.push_back(std::move(parts));
+  }
+  const uint64_t reads = dev_.GetStats().reads;
+  uint64_t cursor = log_.head();
+  for (const auto& parts : records) {
+    EXPECT_EQ(ReadSync(&cursor), parts[0] + parts[1] + parts[2]);
+  }
+  Status status = Status::kOk;
+  ReadSync(&cursor, &status);
+  EXPECT_EQ(status, Status::kEndOfFile);
+  EXPECT_LE(dev_.GetStats().reads - reads, 2 * kRecords);
+}
+
 TEST_F(SpliceLogTest, TornTerminalWriteIsNotRecoveredAfterRestart) {
   FaultPlan plan;
   plan.seed = 5;
